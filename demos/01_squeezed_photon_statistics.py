@@ -33,7 +33,7 @@ print(f"ratio n1/n0 = {mean_photon(s1)/mean_photon(s0):.3f}  (~3 at large r)")
 
 print("\nphoton-number probabilities (first 12 levels):")
 print(" n   squeezed vacuum   squeezed photon")
-p0, p1 = s0.probabilities(), s1.probabilities()
+p0, p1 = s0**2, s1**2  # real amplitudes
 for n in range(12):
     print(f"{n:2d}   {p0[n]:15.6f}   {p1[n]:15.6f}")
 

@@ -26,10 +26,8 @@ from .errors import (
 )
 from .fock import (
     DEFAULT_TAIL_TOL,
-    EntangledBranch,
-    FockAmplitudes,
-    LossChannelParams,
-    SqueezeParams,
+    BranchEnsemble,
+    SqueezePropagator,
     apply_squeeze,
     branches_to_projected,
     choose_n_max,
@@ -76,22 +74,20 @@ from .wigner import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BranchEnsemble",
     "ConcurrenceResult",
     "DEFAULT_TAIL_TOL",
-    "EntangledBranch",
     "ExperimentConfig",
     "ExperimentResult",
-    "FockAmplitudes",
     "GaussianPolyWigner",
     "IllConditionedError",
-    "LossChannelParams",
     "MicroMacroError",
     "MomentQuery",
     "NotAnXStateError",
     "ProjectedDensityMatrix",
     "QuadratureSample",
     "ReconstructionResult",
-    "SqueezeParams",
+    "SqueezePropagator",
     "SweepEntry",
     "TailToleranceError",
     "TomographyRecord",

@@ -128,9 +128,8 @@ def cmd_fig2(args) -> int:
     outdir = _outdir(args)
     r = args.r
     n_max = choose_n_max(r, tail_tol=1e-12)
-    s0 = squeezed_vacuum(r, n_max)
-    s1 = squeezed_one(r, n_max)
-    p0, p1 = s0.probabilities(), s1.probabilities()
+    p0 = squeezed_vacuum(r, n_max) ** 2
+    p1 = squeezed_one(r, n_max) ** 2
     hi = int(max(np.nonzero(p0 > 1e-8)[0].max(), np.nonzero(p1 > 1e-8)[0].max()))
     rows = [(n, p0[n], p1[n]) for n in range(hi + 1)]
     mio.atomic_write_text(

@@ -1,24 +1,29 @@
 """Truncated Fock-space engine for the amplified/attenuated mode.
 
 One dynamical bosonic mode (arm B) is tracked on photon numbers 0..n_max,
-entangled with a two-level spectator (arm A).  The module provides the
-squeezed vacuum and squeezed single photon in closed form, a general squeeze
-unitary exp(r (a^2 - a+^2)/2), binomial photon-loss Kraus channels, and the
-branch bookkeeping needed to carry the mixed two-mode state through the
-pipeline.
+entangled with a two-level spectator (arm A).  The mixed two-mode state is
+one ``BranchEnsemble``: rho = sum_k w_k |b_k><b_k| with
+|b_k> = |1>_A (x) U[:, k] + |0>_A (x) V[:, k], held as weights (K,) and
+amplitude stacks U, V of shape (n_max+1, K).  Every stage acts on the whole
+stack at once: the squeeze unitary exp(r (a^2 - a+^2)/2), binomial
+photon-loss Kraus channels (vectorized over the Kraus order), pruning (a
+mask) and the projection onto the {0,1}x{0,1} block (one contraction).
+Single-mode states, such as the closed-form squeezed vacuum and squeezed
+single photon, are plain real amplitude arrays.
 
-The squeeze generator couples only n <-> n+-2, so the even and odd photon
-sectors decouple into antisymmetric tridiagonal chains.  exp(r A) is applied
-exactly by diagonalizing each chain once (A = D^-1 (-i M) D with M real
-symmetric tridiagonal and D = diag(i^j)), which is exactly norm-preserving
-and reusable across all branch vectors of a run.
+The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
+the even and odd photon sectors decouple into tridiagonal chains, and within
+a chain it links the sites n = p (mod 4) only to the sites n = p+2 (mod 4).
+Its exponential is therefore real orthogonal and is applied in real
+arithmetic from a half-size eigenbasis (see SqueezePropagator), built once
+per (r, n_max) and reused across all branch columns of a run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -30,118 +35,92 @@ from .errors import TailToleranceError, TruncationError
 DEFAULT_TAIL_TOL = 1e-10
 N_MAX_CAP = 8192
 PRUNE_THRESHOLD = 1e-14
-NORM_EPS = 1e-12
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
 
 # ---------------------------------------------------------------------------
-# value types
+# the branch ensemble
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FockAmplitudes:
-    """Complex amplitudes over photon numbers 0..n_max of one mode."""
+@dataclass
+class BranchEnsemble:
+    """Weights (K,) and amplitude stacks U, V of shape (n_max+1, K).
 
-    amps: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex).copy()
-        if a.ndim != 1:
-            raise ValueError("amplitude vector must be one-dimensional")
-        if len(a) != self.n_max + 1:
-            raise ValueError(
-                f"amplitude vector length {len(a)} does not match n_max={self.n_max}"
-            )
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
-        if self.norm_sq > 1.0 + NORM_EPS:
-            raise ValueError(f"amplitudes over-normalized: |psi|^2 = {self.norm_sq}")
-
-    @classmethod
-    def from_array(cls, amps) -> "FockAmplitudes":
-        amps = np.asarray(amps, dtype=complex)
-        return cls(amps=amps, n_max=len(amps) - 1)
-
-    @classmethod
-    def fock(cls, n: int, n_max: int) -> "FockAmplitudes":
-        """Number state |n> on a 0..n_max truncation."""
-        if not 0 <= n <= n_max:
-            raise ValueError(f"fock index {n} outside 0..{n_max}")
-        a = np.zeros(n_max + 1, dtype=complex)
-        a[n] = 1.0
-        return cls(amps=a, n_max=n_max)
-
-    @classmethod
-    def vacuum(cls, n_max: int) -> "FockAmplitudes":
-        return cls.fock(0, n_max)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def tail_mass(self, above: int) -> float:
-        """Probability weight strictly above photon number ``above``."""
-        return float(np.sum(np.abs(self.amps[above + 1 :]) ** 2))
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Squeeze strength r = chi*t and direction (+1 squeeze, -1 unsqueeze)."""
-
-    r: float
-    sign: int = +1
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeeze parameter r must be >= 0")
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class LossChannelParams:
-    """Transmission eta with Kraus-order and neglected-weight controls.
-
-    ``k_max=None`` selects the smallest order whose neglected weight falls
-    below ``tail_tol``.
+    Column k is the pure branch |1>_A (x) U[:, k] + |0>_A (x) V[:, k]; the
+    ensemble is rho = sum_k weights[k] |b_k><b_k|.  Kraus factors are folded
+    into the (sub-normalized) columns rather than the weights.  The pipeline
+    keeps U and V real; complex stacks are accepted everywhere.
+    ``kraus_orders`` records, per input branch, the highest Kraus order of
+    the loss expansion that produced the ensemble (empty otherwise).
     """
 
-    eta: float
-    k_max: int | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
+    weights: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
+    kraus_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.k_max is not None and self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.U = np.asarray(self.U)
+        self.V = np.asarray(self.V)
+        if self.U.ndim != 2 or self.U.shape != self.V.shape:
+            raise ValueError("U and V must be equal-shape (n_max+1, K) stacks")
+        if self.weights.shape != (self.U.shape[1],):
+            raise ValueError("one weight per branch column is required")
+        if np.any(self.weights < 0):
+            raise ValueError("branch weights must be nonnegative")
 
-
-@dataclass(frozen=True)
-class EntangledBranch:
-    """One pure branch |1>_A (x) u + |0>_A (x) v of the two-mode mixture.
-
-    The ensemble represents rho = sum_k weight_k |b_k><b_k|; Kraus factors are
-    folded into the (sub-normalized) vectors rather than the weights.
-    """
-
-    weight: float
-    u: FockAmplitudes
-    v: FockAmplitudes
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("branch weight must be nonnegative")
-        if self.u.n_max != self.v.n_max:
-            raise ValueError("u and v must share a truncation")
+    def __len__(self) -> int:
+        return len(self.weights)
 
     @property
-    def trace_contribution(self) -> float:
-        return self.weight * (self.u.norm_sq + self.v.norm_sq)
+    def n_max(self) -> int:
+        return self.U.shape[0] - 1
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Trace contribution w_k (|u_k|^2 + |v_k|^2) of every branch."""
+        norms = np.einsum("nk,nk->k", self.U.conj(), self.U)
+        norms += np.einsum("nk,nk->k", self.V.conj(), self.V)
+        return self.weights * norms.real
+
+    def select(self, keep) -> "BranchEnsemble":
+        """The branches picked by a boolean mask or index array."""
+        return BranchEnsemble(self.weights[keep], self.U[:, keep], self.V[:, keep])
+
+    def truncated(self, n_max: int) -> "BranchEnsemble":
+        """The same branches on photon numbers 0..n_max (views, no copy)."""
+        return BranchEnsemble(self.weights, self.U[: n_max + 1], self.V[: n_max + 1])
+
+    def support(self, mass_tol: float) -> int:
+        """Largest photon number from which the ensemble still carries more
+        than ``mass_tol`` weight (1 when nothing does)."""
+        mass = np.einsum("nk,nk,k->n", self.U.conj(), self.U, self.weights)
+        mass += np.einsum("nk,nk,k->n", self.V.conj(), self.V, self.weights)
+        suffix = np.cumsum(mass.real[::-1])[::-1]
+        idx = np.flatnonzero(suffix > mass_tol)
+        return int(idx[-1]) if len(idx) else 1
+
+    def squeezed(self, prop: "SqueezePropagator", sign: int) -> "BranchEnsemble":
+        """Image under ``prop`` (sign=+1 squeeze, -1 unsqueeze), all nonzero
+        columns of U and V batched into one propagator call."""
+        stack = np.concatenate([self.U, self.V], axis=1)
+        live = np.flatnonzero(np.any(stack != 0, axis=0))
+        if len(live) == stack.shape[1]:
+            moved = prop.apply_columns(stack, sign)
+        else:
+            moved = np.zeros_like(stack, dtype=np.result_type(stack, 1.0))
+            moved[:, live] = prop.apply_columns(stack.take(live, axis=1), sign)
+        return BranchEnsemble(self.weights, moved[:, : len(self)], moved[:, len(self) :])
 
 
 # ---------------------------------------------------------------------------
@@ -217,68 +196,58 @@ def choose_n_max(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return int(2 * ok[0] + 2)
 
 
+def _squeezed_family(r, n_max, tail_tol, parity, log_probs, name) -> np.ndarray:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if n_max is None:
+        n_max = choose_n_max(r, tail_tol)
+    if n_max < parity:
+        raise TruncationError(f"n_max must be >= {parity} for the {name}")
+    amps = np.zeros(n_max + 1)
+    if r == 0.0:
+        amps[parity] = 1.0
+        return amps
+    k = np.arange(0, (n_max - parity) // 2 + 1)
+    logp = log_probs(r, k)
+    tail = 1.0 - float(np.sum(np.exp(logp)))
+    if tail > tail_tol:
+        raise TruncationError(
+            f"{name} at r={r}: tail {tail:.3e} above n_max={n_max} "
+            f"exceeds {tail_tol:.1e}"
+        )
+    amps[2 * k + parity] = np.exp(0.5 * logp) * (-1.0) ** k
+    return amps
+
+
 def squeezed_vacuum(
     r: float, n_max: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockAmplitudes:
-    """Squeezed vacuum S(r)|0>, even photon numbers only.
+) -> np.ndarray:
+    """Squeezed vacuum S(r)|0> as real amplitudes, even photon numbers only.
 
     amps[2k] = cosh(r)^(-1/2) * sqrt((2k)!)/(2^k k!) * (-tanh r)^k, computed
     in log space with sign tracking.  An explicit ``n_max`` that cannot hold
     the tail below ``tail_tol`` raises TruncationError.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if n_max is None:
-        n_max = choose_n_max(r, tail_tol)
-    amps = np.zeros(n_max + 1, dtype=complex)
-    if r == 0.0:
-        amps[0] = 1.0
-        return FockAmplitudes(amps=amps, n_max=n_max)
-    k = np.arange(0, n_max // 2 + 1)
-    logp = _log_probs_squeezed_vacuum(r, k)
-    tail = 1.0 - float(np.sum(np.exp(logp)))
-    if tail > tail_tol:
-        raise TruncationError(
-            f"squeezed vacuum at r={r}: tail {tail:.3e} above n_max={n_max} "
-            f"exceeds {tail_tol:.1e}"
-        )
-    amps[2 * k] = np.exp(0.5 * logp) * (-1.0) ** k
-    return FockAmplitudes(amps=amps, n_max=n_max)
+    return _squeezed_family(
+        r, n_max, tail_tol, 0, _log_probs_squeezed_vacuum, "squeezed vacuum"
+    )
 
 
 def squeezed_one(
     r: float, n_max: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockAmplitudes:
+) -> np.ndarray:
     """Squeezed single photon S(r)|1>, odd photon numbers only.
 
     amps[2k+1] = cosh(r)^(-3/2) * sqrt((2k+1)!)/(2^k k!) * (-tanh r)^k.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if n_max is None:
-        n_max = choose_n_max(r, tail_tol)
-    amps = np.zeros(n_max + 1, dtype=complex)
-    if r == 0.0:
-        if n_max < 1:
-            raise TruncationError("n_max must be >= 1 for the single photon")
-        amps[1] = 1.0
-        return FockAmplitudes(amps=amps, n_max=n_max)
-    k = np.arange(0, (n_max - 1) // 2 + 1)
-    logp = _log_probs_squeezed_one(r, k)
-    tail = 1.0 - float(np.sum(np.exp(logp)))
-    if tail > tail_tol:
-        raise TruncationError(
-            f"squeezed one at r={r}: tail {tail:.3e} above n_max={n_max} "
-            f"exceeds {tail_tol:.1e}"
-        )
-    amps[2 * k + 1] = np.exp(0.5 * logp) * (-1.0) ** k
-    return FockAmplitudes(amps=amps, n_max=n_max)
+    return _squeezed_family(
+        r, n_max, tail_tol, 1, _log_probs_squeezed_one, "squeezed one"
+    )
 
 
-def mean_photon(state: FockAmplitudes) -> float:
+def mean_photon(amps: np.ndarray) -> float:
     """<n> = sum_n n |amps[n]|^2."""
-    n = np.arange(state.n_max + 1)
-    return float(np.sum(n * state.probabilities()))
+    return float(np.arange(len(amps)) @ _abs2(np.asarray(amps)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +255,45 @@ def mean_photon(state: FockAmplitudes) -> float:
 # ---------------------------------------------------------------------------
 
 
-class SqueezePropagator:
-    """Applies exp(sign * r * (a^2 - a+^2)/2) to stacks of Fock vectors.
+def _chain_halves(parity: int, n_max: int):
+    """(X, Y, sigma, z) of one parity chain: K = X diag(sigma) Y^T, z spans
+    the null space of K^T (None on an even-length chain)."""
+    n = np.arange(parity, n_max + 1, 2).astype(float)
+    m = len(n)
+    half = m // 2
+    if m < 2:
+        return np.zeros((m, 0)), np.zeros((0, 0)), np.zeros(0), np.ones(m) if m else None
+    b = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / 2.0
+    b[1::2] *= -1.0  # the signs of K's subdiagonal
+    evals, evecs = eigh_tridiagonal(np.zeros(m), b)
+    top = evecs[:, m - half :]  # the sigma > 0 half, ascending
+    X = math.sqrt(2.0) * top[0::2]
+    Y = math.sqrt(2.0) * top[1::2]
+    z = evecs[0::2, half].copy() if m % 2 else None
+    return X, Y, evals[m - half :], z
 
-    The generator splits into even/odd parity chains; each chain is a real
-    antisymmetric tridiagonal matrix T with T[j, j+1] = sqrt((n+1)(n+2))/2.
-    With D = diag(i^j), D T D^-1 = -i M for a real symmetric tridiagonal M,
-    so exp(r T) = D^-1 Q exp(-i r L) Q^T D from one eigh_tridiagonal call per
-    parity.  The map is orthogonal on the truncated space, hence exactly
+
+class SqueezePropagator:
+    """Applies exp(sign * r * (a^2 - a+^2)/2) to stacks of Fock columns.
+
+    On a parity chain n = p, p+2, ... the generator is a real antisymmetric
+    tridiagonal T with T[j, j+1] = b_j = sqrt((n_j+1)(n_j+2))/2.  It links
+    the even chain sites (n = p mod 4) only to the odd ones (n = p+2 mod 4),
+    so in that split T = [[0, K], [-K^T, 0]] with K real bidiagonal
+    (K[a, a] = b_2a, K[a, a-1] = -b_(2a-1)).  With the SVD
+    K = X diag(sigma) Y^T, C = cos(r sigma) and S = sin(r sigma),
+
+        exp(rT) = [[X C X^T + z z^T,  X S Y^T],
+                   [   -Y S X^T,      Y C Y^T]],
+
+    where z spans the null space of K^T on an odd-length chain.  The SVD is
+    read off one eigh_tridiagonal call on the symmetric [[0, K], [K^T, 0]],
+    whose eigenpairs come as +-sigma: the sigma > 0 half, sqrt(2) times its
+    even and odd eigenvector rows, gives X and Y, and the zero mode of an
+    odd chain gives z.  A step is four real (m/2, m/2) @ (m/2, cols)
+    products per parity, and the cache holds half of a dense (m, m) matrix
+    per parity.  Complex columns propagate as their real and imaginary
+    parts.  The map is orthogonal on the truncated space, hence exactly
     norm-preserving; truncation shows up only as reflection near n_max.
     """
 
@@ -306,37 +306,35 @@ class SqueezePropagator:
         self.n_max = int(n_max)
         self._sectors = []
         for parity in (0, 1):
-            idx = np.arange(parity, n_max + 1, 2)
-            if len(idx) < 2:
-                self._sectors.append((idx, None, None, None))
-                continue
-            n = idx[:-1].astype(float)
-            b = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0
-            evals, evecs = eigh_tridiagonal(np.zeros(len(idx)), b)
-            phases = (1j) ** np.arange(len(idx))
-            self._sectors.append((idx, evals, evecs, phases))
+            X, Y, sigma, z = _chain_halves(parity, self.n_max)
+            self._sectors.append(
+                (X, Y, np.cos(self.r * sigma)[:, None], np.sin(self.r * sigma)[:, None], z)
+            )
 
     def apply_columns(self, cols: np.ndarray, sign: int = +1) -> np.ndarray:
-        """Propagate an (n_max+1, m) stack of column vectors."""
+        """Propagate an (n_max+1,) vector or (n_max+1, m) stack of columns."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        cols = np.asarray(cols, dtype=complex)
-        squeeze_out = False
-        if cols.ndim == 1:
-            cols = cols[:, None]
-            squeeze_out = True
+        cols = np.asarray(cols)
         if cols.shape[0] != self.n_max + 1:
             raise ValueError("column length does not match the truncation")
-        out = np.empty_like(cols)
-        for idx, evals, evecs, phases in self._sectors:
-            if evals is None:
-                out[idx, :] = cols[idx, :]
-                continue
-            w = phases[:, None] * cols[idx, :]
-            y = evecs.T @ w
-            y *= np.exp(-1j * sign * self.r * evals)[:, None]
-            out[idx, :] = np.conj(phases)[:, None] * (evecs @ y)
-        return out[:, 0] if squeeze_out else out
+        x = cols.reshape(self.n_max + 1, -1)
+        if np.iscomplexobj(x):
+            width = x.shape[1]
+            out = self._apply_real(np.concatenate([x.real, x.imag], axis=1), sign)
+            return (out[:, :width] + 1j * out[:, width:]).reshape(cols.shape)
+        return self._apply_real(x.astype(float, copy=False), sign).reshape(cols.shape)
+
+    def _apply_real(self, x: np.ndarray, sign: int) -> np.ndarray:
+        out = np.empty_like(x)
+        for p, (X, Y, c, s, z) in enumerate(self._sectors):
+            xe, xo = x[p::4], x[p + 2 :: 4]
+            ae, ao = X.T @ xe, Y.T @ xo
+            out[p::4] = X @ (c * ae + sign * s * ao)
+            out[p + 2 :: 4] = Y @ (c * ao - sign * s * ae)
+            if z is not None:
+                out[p::4] += np.outer(z, z @ xe)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -351,49 +349,48 @@ _BOUNDARY_MASS_TOL = 1e-18
 
 
 def apply_squeeze(
-    state: FockAmplitudes,
-    params: SqueezeParams,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> FockAmplitudes:
-    """Unitary image of ``state`` under the squeeze (sign=+1) or its inverse.
+    amps: np.ndarray, r: float, sign: int = +1, tail_tol: float = DEFAULT_TAIL_TOL
+) -> np.ndarray:
+    """Unitary image of ``amps`` under the squeeze (sign=+1) or its inverse.
 
-    The propagation runs on an internally padded space, grown until the
-    boundary weight is negligible, then the result is cropped back to the
-    input truncation.  Probability that genuinely leaked past n_max beyond
-    ``tail_tol`` raises TruncationError.
+    ``amps`` is one amplitude vector or an (n_max+1, m) column stack.  The
+    propagation runs on an internally padded space, grown until the boundary
+    weight is negligible, then the result is cropped back to the input
+    truncation.  Probability that genuinely leaked past n_max beyond
+    ``tail_tol`` raises TruncationError.  At r = 0 the input is returned.
     """
-    if params.r == 0.0:
-        return state
-    nz = np.nonzero(np.abs(state.amps) > 0)[0]
+    if r == 0.0:
+        return amps
+    amps = np.asarray(amps)
+    n_max = len(amps) - 1
+    nz = np.flatnonzero(np.any(amps.reshape(n_max + 1, -1) != 0, axis=1))
     n_top = int(nz[-1]) if len(nz) else 0
     working = max(
-        state.n_max,
-        choose_n_max(params.r, _BOUNDARY_MASS_TOL),
-        int(1.5 * n_top * math.cosh(2.0 * params.r)) + 64,
+        n_max,
+        choose_n_max(r, _BOUNDARY_MASS_TOL),
+        int(1.5 * n_top * math.cosh(2.0 * r)) + 64,
     )
     working = min(working + working % 2, N_MAX_CAP)
     while True:
-        padded = np.zeros(working + 1, dtype=complex)
-        padded[: state.n_max + 1] = state.amps
-        out = get_propagator(params.r, working).apply_columns(
-            padded, sign=params.sign
-        )
-        boundary = float(np.sum(np.abs(out[-4:]) ** 2))
+        padded = np.zeros((working + 1,) + amps.shape[1:], dtype=amps.dtype)
+        padded[: n_max + 1] = amps
+        out = get_propagator(r, working).apply_columns(padded, sign)
+        boundary = float(np.sum(_abs2(out[-4:])))
         if boundary <= _BOUNDARY_MASS_TOL:
             break
         if working >= N_MAX_CAP:
             raise TruncationError(
-                f"squeeze at r={params.r}: boundary weight {boundary:.3e} "
+                f"squeeze at r={r}: boundary weight {boundary:.3e} "
                 f"persists at the {N_MAX_CAP}-photon cap"
             )
         working = min(2 * working, N_MAX_CAP)
-    leak = float(np.sum(np.abs(out[state.n_max + 1 :]) ** 2))
+    leak = float(np.sum(_abs2(out[n_max + 1 :])))
     if leak > tail_tol:
         raise TruncationError(
-            f"squeeze at r={params.r}: {leak:.3e} probability leaks past "
-            f"n_max={state.n_max}, above {tail_tol:.1e}"
+            f"squeeze at r={r}: {leak:.3e} probability leaks past "
+            f"n_max={n_max}, above {tail_tol:.1e}"
         )
-    return FockAmplitudes(amps=out[: state.n_max + 1], n_max=state.n_max)
+    return out[: n_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -401,117 +398,125 @@ def apply_squeeze(
 # ---------------------------------------------------------------------------
 
 
-def kraus_factors(n_max: int, k: int, eta: float) -> np.ndarray:
-    """Diagonal factors of E_k: (E_k psi)[n-k] = factors[n] * psi[n].
-
-    factors[n] = sqrt(C(n, k) eta^(n-k) (1-eta)^k) for n >= k, else 0.
-    """
-    f = np.zeros(n_max + 1)
-    if k > n_max:
-        return f
-    n = np.arange(k, n_max + 1, dtype=float)
+def _log_binomial(k, n, eta: float, log_fact: np.ndarray) -> np.ndarray:
+    """log(C(n, k) eta^(n-k) (1-eta)^k) for broadcastable k, n; -inf where
+    n < k.  At eta = 0 only n = k survives (E_k = |0><k|), with no log(0)."""
     if eta == 0.0:
-        f[k] = 1.0  # E_k = |0><k|
-        return f
-    if eta == 1.0:
-        if k == 0:
-            f[:] = 1.0
-        return f
-    log_c = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    log_w = 0.5 * (log_c + (n - k) * math.log(eta) + k * math.log1p(-eta))
-    f[k:] = np.exp(log_w)
-    return f
+        return np.where(n == k, 0.0, -np.inf)
+    kept = np.maximum(n - k, 0)
+    out = log_fact[np.maximum(n, k)] - log_fact[k] - log_fact[kept]
+    out = out + kept * math.log(eta) + k * math.log1p(-eta)
+    return np.where(n >= k, out, -np.inf)
 
 
-def _apply_kraus(amps: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(amps)
-    if k <= len(amps) - 1:
-        out[: len(amps) - k] = factors[k:] * amps[k:]
-    return out
+def _shifted_rows(a: np.ndarray, rows, shifts, fill: float) -> np.ndarray:
+    """out[j, m] = a[rows[j], m + shifts[j]], reading ``fill`` past the end
+    of a row (shifts stay below the row length)."""
+    n_rows, width = a.shape
+    padded = np.full((n_rows, 2 * width), fill, dtype=a.dtype)
+    padded[:, :width] = a
+    windows = np.lib.stride_tricks.sliding_window_view(padded.ravel(), width)
+    return windows[rows * 2 * width + shifts]
 
 
 def loss_on_branch(
-    branch: EntangledBranch, params: LossChannelParams
-) -> list[EntangledBranch]:
-    """Expand one branch through the binomial loss channel on mode B.
+    ens: BranchEnsemble,
+    eta: float,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    k_max: int | None = None,
+) -> BranchEnsemble:
+    """Expand every branch through the binomial loss channel on mode B.
 
-    Returns branches k = 0..k_max with u_k = E_k u, v_k = E_k v.  With
-    ``k_max=None`` the order grows until the neglected trace falls below
-    ``tail_tol``; an explicit ``k_max`` that cannot reach the tolerance
-    raises TailToleranceError.
+    Branch b becomes branches k = 0..k_b, in branch-major order, with
+    columns E_k u_b and E_k v_b, where (E_k psi)[n-k] = sqrt(C(n, k)
+    eta^(n-k) (1-eta)^k) psi[n].  With ``k_max=None`` each order grows until
+    the branch's neglected trace falls below its share of ``tail_tol`` (its
+    trace over the ensemble's); k_b never exceeds the branch's top occupied
+    photon number, where the channel is captured exactly.  An explicit
+    ``k_max`` that cannot reach the tolerance raises TailToleranceError.
     """
-    eta = params.eta
-    n_max = branch.u.n_max
-    in_trace = branch.trace_contribution
+    _check_eta(eta)
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if eta == 1.0:
-        return [branch]
+        return ens
+    n_max = ens.n_max
+    mass = _abs2(ens.U) + _abs2(ens.V)  # (N, K), unweighted
+    traces = ens.weights * mass.sum(axis=0)
+    total = traces.sum()
+    tol = np.maximum(tail_tol * (traces / total if total > 0 else 1.0), 1e-300)
+    occupied = mass > 0
+    top = np.where(occupied.any(axis=0), n_max - np.argmax(occupied[::-1], axis=0), 0)
+    cap = top if k_max is None else np.minimum(k_max, top)
 
-    support = 0
-    nz = np.nonzero((np.abs(branch.u.amps) > 0) | (np.abs(branch.v.amps) > 0))[0]
-    if len(nz):
-        support = int(nz[-1])
-    hard_cap = support  # E_k annihilates everything for k > top photon number
+    # Kraus order per branch: the first k whose neglected trace is below tol,
+    # scanned in blocks of doubling size over one log-factorial table
+    log_fact = gammaln(np.arange(n_max + 1, dtype=float) + 1.0)
+    ns = np.arange(n_max + 1)
+    orders = cap.copy()
+    pending = np.full(len(ens), k_max is None)
+    blocks, cum = [], np.zeros(len(ens))
+    lo, width = 0, 64
+    while lo <= cap.max() and (k_max is not None or pending.any()):
+        ks = np.arange(lo, min(lo + width, int(cap.max()) + 1))
+        blocks.append(_log_binomial(ks[:, None], ns, eta, log_fact))
+        run = cum + np.cumsum(ens.weights * (np.exp(blocks[-1]) @ mass), axis=0)
+        hit = (traces - run < tol) & (ks[:, None] <= cap) & pending
+        found = hit.any(axis=0)
+        orders[found] = ks[np.argmax(hit, axis=0)[found]]
+        pending &= ~found
+        cum = run[-1]
+        lo, width = lo + width, 2 * width
 
-    cap = hard_cap if params.k_max is None else min(params.k_max, hard_cap)
-    out = []
-    cum = 0.0
-    for k in range(cap + 1):
-        f = kraus_factors(n_max, k, eta)
-        u_k = _apply_kraus(branch.u.amps, f, k)
-        v_k = _apply_kraus(branch.v.amps, f, k)
-        w = branch.weight * (np.vdot(u_k, u_k).real + np.vdot(v_k, v_k).real)
-        cum += w
-        out.append(
-            EntangledBranch(
-                weight=branch.weight,
-                u=FockAmplitudes(amps=u_k, n_max=n_max),
-                v=FockAmplitudes(amps=v_k, n_max=n_max),
+    # output column j is branch b_of[j] after losing k_of[j] photons: its row
+    # m is input row m+k times sqrt(C(m+k, k) eta^m (1-eta)^k)
+    counts = orders + 1
+    b_of = np.repeat(np.arange(len(ens)), counts)
+    k_of = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    fac = np.exp(0.5 * _shifted_rows(np.concatenate(blocks), k_of, k_of, -np.inf))
+    out = BranchEnsemble(
+        ens.weights[b_of],
+        (fac * _shifted_rows(ens.U.T, b_of, k_of, 0.0)).T,
+        (fac * _shifted_rows(ens.V.T, b_of, k_of, 0.0)).T,
+        tuple(int(o) for o in orders),
+    )
+    if k_max is not None:
+        deficit = traces - np.bincount(b_of, out.traces, minlength=len(ens))
+        bad = (cap < top) & (deficit > tol)
+        if bad.any():
+            raise TailToleranceError(
+                f"loss eta={eta}: neglected weight {deficit[bad].max():.3e} above "
+                f"{tol[bad].max():.1e} with k_max={k_max}"
             )
-        )
-        if params.k_max is None and in_trace - cum < params.tail_tol:
-            break
-    deficit = in_trace - cum
-    # k up to the full support captures the channel exactly; any residual
-    # deficit there is roundoff
-    if cap < hard_cap and deficit > params.tail_tol:
-        raise TailToleranceError(
-            f"loss eta={eta}: neglected weight {deficit:.3e} above "
-            f"{params.tail_tol:.1e} with k_max={cap}"
-        )
     return out
 
 
-def loss_on_spectator(branch: EntangledBranch, eta: float) -> list[EntangledBranch]:
-    """Loss on the two-level arm A: |1>_A decays to |0>_A with weight 1-eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
+    """Loss on the two-level arm A: |1>_A decays to |0>_A with weight 1-eta.
+
+    Each branch becomes the pair (kept, decayed), in branch order.
+    """
+    _check_eta(eta)
     if eta == 1.0:
-        return [branch]
-    kept = EntangledBranch(
-        weight=branch.weight,
-        u=FockAmplitudes.from_array(math.sqrt(eta) * branch.u.amps),
-        v=branch.v,
+        return ens
+    n_rows, count = ens.U.shape
+    U = np.stack([math.sqrt(eta) * ens.U, np.zeros_like(ens.U)], axis=2)
+    V = np.stack([ens.V, math.sqrt(1.0 - eta) * ens.U], axis=2)
+    return BranchEnsemble(
+        np.repeat(ens.weights, 2),
+        U.reshape(n_rows, 2 * count),
+        V.reshape(n_rows, 2 * count),
     )
-    zeros = np.zeros(branch.u.n_max + 1, dtype=complex)
-    dropped = EntangledBranch(
-        weight=branch.weight,
-        u=FockAmplitudes(amps=zeros, n_max=branch.u.n_max),
-        v=FockAmplitudes.from_array(math.sqrt(1.0 - eta) * branch.u.amps),
-    )
-    return [kept, dropped]
 
 
 def prune_branches(
-    branches: list[EntangledBranch], threshold: float = PRUNE_THRESHOLD
-) -> tuple[list[EntangledBranch], float]:
+    ens: BranchEnsemble, threshold: float = PRUNE_THRESHOLD
+) -> tuple[BranchEnsemble, float]:
     """Drop branches below ``threshold`` trace contribution; report the mass."""
-    kept, dropped = [], 0.0
-    for b in branches:
-        if b.trace_contribution < threshold:
-            dropped += b.trace_contribution
-        else:
-            kept.append(b)
-    return kept, dropped
+    traces = ens.traces
+    keep = traces >= threshold
+    dropped = float(traces[~keep].sum())
+    return (ens if keep.all() else ens.select(keep)), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +524,19 @@ def prune_branches(
 # ---------------------------------------------------------------------------
 
 
-def branches_to_projected(branches: list[EntangledBranch]) -> ProjectedDensityMatrix:
+def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
     """Accumulate the unnormalized 4x4 block from the branch ensemble.
 
     For |b> = |1>_A u + |0>_A v the block coefficients in basis order
     (|00>, |01>, |10>, |11>) are (v[0], v[1], u[0], u[1]); the matrix is the
     weight-summed outer product, so d = sum_k w_k u_k[0] v_k[1]^* lands at
-    position [2, 1].  Summation follows the input order, so results are
-    bit-stable for a given ensemble.
+    position [2, 1].
     """
-    m = np.zeros((4, 4), dtype=complex)
-    for b in branches:
-        c = np.array([b.v.amps[0], b.v.amps[1], b.u.amps[0], b.u.amps[1]])
-        m += b.weight * np.outer(c, c.conj())
-    return ProjectedDensityMatrix(m)
+    c = np.stack([ens.V[0], ens.V[1], ens.U[0], ens.U[1]])  # (4, K)
+    return ProjectedDensityMatrix((c * ens.weights) @ c.conj().T)
 
 
-def project_through_loss(
-    branches: list[EntangledBranch], eta: float
-) -> ProjectedDensityMatrix:
+def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMatrix:
     """Projected block after a trailing loss channel, without branch expansion.
 
     Only photon numbers 0 and 1 of each Kraus image survive the projection,
@@ -547,19 +546,20 @@ def project_through_loss(
     Algebraically identical to loss_on_branch followed by
     branches_to_projected, summed over all Kraus orders.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    m = np.zeros((4, 4), dtype=complex)
-    for b in branches:
-        n_max = b.u.n_max
-        k = np.arange(n_max + 1, dtype=float)
-        half = np.power(1.0 - eta, k / 2.0)
-        t1 = np.sqrt(eta * (k[:-1] + 1.0)) * half[:-1] if n_max >= 1 else half[:0]
-        # rows in basis order (0,0), (0,1), (1,0), (1,1) = (i_A, j_B)
-        rows = np.zeros((4, n_max + 1), dtype=complex)
-        rows[0, :] = half * b.v.amps
-        rows[1, : n_max] = t1 * b.v.amps[1:]
-        rows[2, :] = half * b.u.amps
-        rows[3, : n_max] = t1 * b.u.amps[1:]
-        m += b.weight * (rows @ rows.conj().T)
-    return ProjectedDensityMatrix(m)
+    _check_eta(eta)
+    n = np.arange(ens.n_max + 1, dtype=float)
+    half = np.power(1.0 - eta, n / 2.0)
+    # rows past the last nonzero loss factor contribute exactly nothing
+    top = min(int(np.flatnonzero(half)[-1]) + 2, len(n))
+    half, U, V = half[:top, None], ens.U[:top], ens.V[:top]
+    t1 = np.sqrt(eta * (n[: top - 1] + 1.0))[:, None] * half[:-1]
+    # rows in basis order (0,0), (0,1), (1,0), (1,1) = (i_A, j_B), each
+    # scaled by sqrt(w) so the block is one Gram contraction
+    rows = np.zeros((4,) + U.shape, dtype=U.dtype)
+    rows[0] = half * V
+    rows[1, :-1] = t1 * V[1:]
+    rows[2] = half * U
+    rows[3, :-1] = t1 * U[1:]
+    rows *= np.sqrt(ens.weights)
+    block = np.tensordot(rows, rows.conj(), axes=([1, 2], [1, 2]))
+    return ProjectedDensityMatrix(block)

@@ -78,6 +78,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.r is None) == (self.target_n is None):
             raise ValueError("exactly one of r / target_n must be set")
+        for name in ("r", "target_n", "eta1", "eta", "eta2", "tail_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.r is not None and self.r < 0:
             raise ValueError("r must be >= 0")
         if self.target_n is not None and self.target_n < MIN_TARGET_N:
@@ -131,100 +135,25 @@ class ExperimentResult:
     engine: str
     diagnostics: EngineDiagnostics
     wall_time: float = 0.0
-    final_branches: list[fk.EntangledBranch] | None = None
+    final_branches: fk.BranchEnsemble | None = None
     final_wigner: wg.GaussianPolyWigner | None = None
 
 
-def _initial_branches(eta1: float, n_max: int) -> list[fk.EntangledBranch]:
+def _initial_ensemble(eta1: float, n_max: int) -> fk.BranchEnsemble:
     """Beam-splitter input after eta1 on arm B, worked out on the qubit.
 
     The only B content is |0> and |1>, so the loss has two exact branches:
     the photon survives (amplitude sqrt(eta1)) or decays to vacuum.
     """
     half = 1.0 / math.sqrt(2.0)
-    u = np.zeros(n_max + 1, dtype=complex)
-    v = np.zeros(n_max + 1, dtype=complex)
-    u[0] = half
-    v[1] = half * math.sqrt(eta1)
-    branches = [
-        fk.EntangledBranch(
-            weight=1.0,
-            u=fk.FockAmplitudes(amps=u, n_max=n_max),
-            v=fk.FockAmplitudes(amps=v, n_max=n_max),
-        )
-    ]
-    if eta1 < 1.0:
-        v2 = np.zeros(n_max + 1, dtype=complex)
-        v2[0] = half * math.sqrt(1.0 - eta1)
-        zeros = np.zeros(n_max + 1, dtype=complex)
-        branches.append(
-            fk.EntangledBranch(
-                weight=1.0,
-                u=fk.FockAmplitudes(amps=zeros, n_max=n_max),
-                v=fk.FockAmplitudes(amps=v2, n_max=n_max),
-            )
-        )
-    return branches
-
-
-def _squeeze_branches(
-    branches: list[fk.EntangledBranch], prop: fk.SqueezePropagator, sign: int
-) -> list[fk.EntangledBranch]:
-    """Batch all branch vectors through one propagator call."""
-    cols = []
-    index = []  # (branch index, 'u'|'v')
-    for i, b in enumerate(branches):
-        for name, vec in (("u", b.u), ("v", b.v)):
-            if vec.norm_sq > 0.0:
-                cols.append(vec.amps)
-                index.append((i, name))
-    if not cols:
-        return branches
-    stacked = np.stack(cols, axis=1)
-    moved = prop.apply_columns(stacked, sign=sign)
-    parts = {}
-    for j, key in enumerate(index):
-        parts[key] = moved[:, j]
-    out = []
-    n_max = branches[0].u.n_max
-    zeros = np.zeros(n_max + 1, dtype=complex)
-    for i, b in enumerate(branches):
-        u = parts.get((i, "u"), zeros)
-        v = parts.get((i, "v"), zeros)
-        out.append(
-            fk.EntangledBranch(
-                weight=b.weight,
-                u=fk.FockAmplitudes(amps=u, n_max=n_max),
-                v=fk.FockAmplitudes(amps=v, n_max=n_max),
-            )
-        )
-    return out
-
-
-def _crop_branches(
-    branches: list[fk.EntangledBranch], mass_tol: float
-) -> tuple[list[fk.EntangledBranch], int]:
-    """Shrink the shared truncation to the occupied support."""
-    n_max = branches[0].u.n_max
-    mass = np.zeros(n_max + 1)
-    for b in branches:
-        mass += b.weight * (np.abs(b.u.amps) ** 2 + np.abs(b.v.amps) ** 2)
-    suffix = np.cumsum(mass[::-1])[::-1]
-    keep = n_max
-    idx = np.nonzero(suffix > mass_tol)[0]
-    keep = int(idx[-1]) if len(idx) else 1
-    keep = max(keep, 3)
-    if keep >= n_max:
-        return branches, n_max
-    out = [
-        fk.EntangledBranch(
-            weight=b.weight,
-            u=fk.FockAmplitudes(amps=b.u.amps[: keep + 1], n_max=keep),
-            v=fk.FockAmplitudes(amps=b.v.amps[: keep + 1], n_max=keep),
-        )
-        for b in branches
-    ]
-    return out, keep
+    count = 1 if eta1 == 1.0 else 2
+    u = np.zeros((n_max + 1, count))
+    v = np.zeros((n_max + 1, count))
+    u[0, 0] = half
+    v[1, 0] = half * math.sqrt(eta1)
+    if count == 2:
+        v[0, 1] = half * math.sqrt(1.0 - eta1)
+    return fk.BranchEnsemble(np.ones(count), u, v)
 
 
 def _attenuate_spectator_block(matrix: np.ndarray, eta: float) -> np.ndarray:
@@ -242,7 +171,7 @@ def _attenuate_spectator_block(matrix: np.ndarray, eta: float) -> np.ndarray:
 
 def _run_fock(
     cfg: ExperimentConfig, keep_state: bool
-) -> tuple[ProjectedDensityMatrix, EngineDiagnostics, list[fk.EntangledBranch] | None]:
+) -> tuple[ProjectedDensityMatrix, EngineDiagnostics, fk.BranchEnsemble | None]:
     r = cfg.resolved_r()
     diag = EngineDiagnostics()
     # a kept state feeds amplitude-linear quantities (homodyne densities), so
@@ -250,65 +179,39 @@ def _run_fock(
     trunc_tol = min(cfg.tail_tol, 1e-17) if keep_state else cfg.tail_tol
     n_max = max(fk.choose_n_max(r, trunc_tol), 2)
     diag.n_max = n_max
-    branches = _initial_branches(cfg.eta1, n_max)
+    ens = _initial_ensemble(cfg.eta1, n_max)
     if r > 0.0:
         prop = fk.get_propagator(r, n_max)
-        branches = _squeeze_branches(branches, prop, sign=+1)
+        ens = ens.squeezed(prop, +1)
     if cfg.eta < 1.0:
-        total = sum(b.trace_contribution for b in branches)
-        expanded = []
-        orders = []
-        for b in branches:
-            share = b.trace_contribution / total if total > 0 else 1.0
-            params = fk.LossChannelParams(
-                eta=cfg.eta, tail_tol=max(cfg.tail_tol * share, 1e-300)
-            )
-            ks = fk.loss_on_branch(b, params)
-            orders.append(len(ks) - 1)
-            expanded.extend(ks)
-        diag.kraus_orders = tuple(orders)
-        out_trace = sum(b.trace_contribution for b in expanded)
-        diag.neglected_mass = max(total - out_trace, 0.0)
-        branches, dropped = fk.prune_branches(expanded)
-        diag.dropped_mass = dropped
+        total = float(ens.traces.sum())
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol)
+        diag.kraus_orders = expanded.kraus_orders
+        diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
+        ens, diag.dropped_mass = fk.prune_branches(expanded)
     if r > 0.0:
-        branches = _squeeze_branches(branches, prop, sign=-1)
+        ens = ens.squeezed(prop, -1)
     # crop at amplitude ~1e-9 so quantities linear in the amplitudes
     # (e.g. homodyne densities from the kept state) stay good to ~1e-8
-    branches, bound = _crop_branches(branches, min(cfg.tail_tol * 1e-2, 1e-18))
+    bound = min(max(ens.support(min(cfg.tail_tol * 1e-2, 1e-18)), 3), ens.n_max)
+    ens = ens.truncated(bound)
     diag.support_bound = bound
-    diag.branch_count = len(branches)
+    diag.branch_count = len(ens)
 
-    final_branches = None
-    if keep_state:
-        if cfg.eta2 < 1.0:
-            total = sum(b.trace_contribution for b in branches)
-            expanded = []
-            for b in branches:
-                share = b.trace_contribution / total if total > 0 else 1.0
-                params = fk.LossChannelParams(
-                    eta=cfg.eta2, tail_tol=max(cfg.tail_tol * share, 1e-300)
-                )
-                expanded.extend(fk.loss_on_branch(b, params))
-            branches_out, dropped = fk.prune_branches(expanded)
-            diag.dropped_mass += dropped
-        else:
-            branches_out = branches
-        if cfg.loss_on_a:
-            with_a = []
-            for b in branches_out:
-                with_a.extend(fk.loss_on_spectator(b, cfg.eta2))
-            branches_out, dropped = fk.prune_branches(with_a)
-            diag.dropped_mass += dropped
-        final_branches = branches_out
-        rho = fk.branches_to_projected(final_branches)
-    else:
-        rho = fk.project_through_loss(branches, cfg.eta2)
+    if not keep_state:
+        rho = fk.project_through_loss(ens, cfg.eta2)
         if cfg.loss_on_a:
             rho = ProjectedDensityMatrix(
                 _attenuate_spectator_block(np.array(rho.matrix), cfg.eta2)
             )
-    return rho, diag, final_branches
+        return rho, diag, None
+    if cfg.eta2 < 1.0:
+        ens, dropped = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
+        diag.dropped_mass += dropped
+    if cfg.loss_on_a:
+        ens, dropped = fk.prune_branches(fk.loss_on_spectator(ens, cfg.eta2))
+        diag.dropped_mass += dropped
+    return fk.branches_to_projected(ens), diag, ens
 
 
 def _run_phase_space(

@@ -29,7 +29,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from . import wigner as wg
 from .entanglement import ProjectedDensityMatrix
 from .errors import IllConditionedError
-from .fock import EntangledBranch
+from .fock import BranchEnsemble
 
 RECORD_SCHEMA = "tomography-record v1"
 _BLOCK_SIZE = 2048
@@ -141,44 +141,29 @@ class TomographyRecord:
 # ---------------------------------------------------------------------------
 
 
-def _branch_support(branches: list[EntangledBranch], mass_tol: float = 1e-12) -> int:
-    """Largest B photon index carrying non-negligible ensemble weight."""
-    n_max = branches[0].u.n_max
-    mass = np.zeros(n_max + 1)
-    for b in branches:
-        mass += b.weight * (np.abs(b.u.amps) ** 2 + np.abs(b.v.amps) ** 2)
-    suffix = np.cumsum(mass[::-1])[::-1]
-    idx = np.nonzero(suffix > mass_tol)[0]
-    return int(idx[-1]) if len(idx) else 1
-
-
 def joint_pdf(state, theta_a: float, theta_b: float):
     """Exact joint density p(x_A, x_B) of homodyne outcomes.
 
-    ``state`` is either the branch ensemble from the Fock engine or a
+    ``state`` is either the BranchEnsemble from the Fock engine or a
     GaussianPolyWigner; the two routes agree pointwise.  Returns a callable
     acting elementwise on broadcastable arrays.
     """
     if isinstance(state, wg.GaussianPolyWigner):
         return wg.rotated_quadrature_pdf(state, theta_a, theta_b)
-    branches = list(state)
-    n_max = branches[0].u.n_max
-    phases_b = np.exp(-1j * theta_b * np.arange(n_max + 1))
+    phases_b = np.exp(-1j * theta_b * np.arange(state.n_max + 1))[:, None]
+    u_rot, v_rot = phases_b * state.U, phases_b * state.V
     phase_a = np.exp(-1j * theta_a)
 
     def pdf(x_a, x_b):
-        xa = np.asarray(x_a, dtype=float)
-        xb = np.asarray(x_b, dtype=float)
-        xa, xb = np.broadcast_arrays(xa, xb)
+        xa, xb = np.broadcast_arrays(
+            np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+        )
         phi_a = hermite_functions(1, xa)
-        phi_b = hermite_functions(n_max, xb)
-        total = np.zeros(xa.shape)
-        for b in branches:
-            u_amp = np.tensordot(b.u.amps * phases_b, phi_b, axes=(0, 0))
-            v_amp = np.tensordot(b.v.amps * phases_b, phi_b, axes=(0, 0))
-            amp = phase_a * phi_a[1] * u_amp + phi_a[0] * v_amp
-            total += b.weight * np.abs(amp) ** 2
-        return total
+        phi_b = hermite_functions(state.n_max, xb)
+        u_amp = np.tensordot(u_rot, phi_b, axes=(0, 0))  # (K,) + x shape
+        v_amp = np.tensordot(v_rot, phi_b, axes=(0, 0))
+        amp = phase_a * phi_a[1] * u_amp + phi_a[0] * v_amp
+        return np.tensordot(state.weights, np.abs(amp) ** 2, axes=1)
 
     return pdf
 
@@ -237,7 +222,7 @@ def _phase_grid(n_phases: int = 6) -> np.ndarray:
 
 
 def sample(
-    state,
+    state: BranchEnsemble,
     n_samples: int,
     phase_policy: str = "uniform_random",
     seed: int = 0,
@@ -254,14 +239,13 @@ def sample(
         raise ValueError("n_samples must be >= 1")
     if phase_policy not in ("uniform_random", "fixed_grid"):
         raise ValueError("phase_policy must be 'uniform_random' or 'fixed_grid'")
-    branches = list(state)
-    if not branches:
+    if len(state) == 0:
         raise ValueError("empty branch ensemble")
-    support = _branch_support(branches)
+    support = state.support(1e-12)
     m_dim = support + 1
-    weights = np.array([b.weight for b in branches])
-    u_mat = np.stack([b.u.amps[:m_dim] for b in branches])  # (K, M)
-    v_mat = np.stack([b.v.amps[:m_dim] for b in branches])
+    weights = state.weights
+    u_mat = np.ascontiguousarray(state.U[:m_dim].T)  # (K, M)
+    v_mat = np.ascontiguousarray(state.V[:m_dim].T)
     nu = np.einsum("km,km->k", u_mat.conj(), u_mat).real
     nv = np.einsum("km,km->k", v_mat.conj(), v_mat).real
     zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)  # <v_k|u_k>

@@ -264,12 +264,14 @@ def _convolve_axis(
 def loss_convolve(W: GaussianPolyWigner, eta: float, mode: str = "B") -> GaussianPolyWigner:
     """Exact convolution with the transmission-eta attenuation kernel.
 
-    Acts on the quadratures of ``mode`` (default B).  eta must lie in (0, 1];
-    eta=1 reproduces the input exactly.  The polynomial degree never grows
-    and the total integral is preserved.
+    Acts on the quadratures of ``mode`` (default B).  eta must lie in [0, 1];
+    eta=1 reproduces the input exactly and eta=0 traces the mode back to
+    vacuum (the completed square at s = 1, D = gamma keeps only the Y^0
+    terms, at unit width).  The polynomial degree never grows and the total
+    integral is preserved.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if mode not in MODE_AXES:
         raise ValueError("mode must be 'A' or 'B'")
     x_axis, p_axis = MODE_AXES[mode]

@@ -1,35 +1,23 @@
 import numpy as np
 import pytest
 
-from micromacro import EntangledBranch, FockAmplitudes
+from micromacro import BranchEnsemble
 
 
 @pytest.fixture
 def bell_branch():
     """Beam-splitter input state as a single branch: u=|0>/sqrt2, v=|1>/sqrt2."""
-    u = np.zeros(6, dtype=complex)
-    v = np.zeros(6, dtype=complex)
+    u = np.zeros((6, 1))
+    v = np.zeros((6, 1))
     u[0] = 2.0**-0.5
     v[1] = 2.0**-0.5
-    return EntangledBranch(
-        weight=1.0,
-        u=FockAmplitudes.from_array(u),
-        v=FockAmplitudes.from_array(v),
-    )
+    return BranchEnsemble([1.0], u, v)
 
 
 def random_branches(rng, count=3, dim=8):
-    """Random sub-normalized branch ensemble for algebra checks."""
-    out = []
-    for _ in range(count):
-        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        scale = np.sqrt(np.vdot(u, u).real + np.vdot(v, v).real) * 1.3
-        out.append(
-            EntangledBranch(
-                weight=float(rng.uniform(0.1, 0.4)),
-                u=FockAmplitudes.from_array(u / scale),
-                v=FockAmplitudes.from_array(v / scale),
-            )
-        )
-    return out
+    """Random sub-normalized complex branch ensemble for algebra checks."""
+    u = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    v = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    scale = np.sqrt((np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=0)) * 1.3
+    weights = rng.uniform(0.1, 0.4, size=count)
+    return BranchEnsemble(weights, u / scale, v / scale)

@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from micromacro import (
-    EntangledBranch,
+    BranchEnsemble,
     ExperimentConfig,
-    FockAmplitudes,
-    LossChannelParams,
-    SqueezeParams,
     apply_squeeze,
     concurrence_general,
     concurrence_xstate,
@@ -269,27 +266,15 @@ def test_criterion_11_channel_algebra():
     u = rng.normal(size=12)
     v = rng.normal(size=12)
     scale = math.sqrt(u @ u + v @ v) * 1.2
-    branch = EntangledBranch(
-        weight=1.0,
-        u=FockAmplitudes.from_array(u / scale),
-        v=FockAmplitudes.from_array(v / scale),
-    )
+    branch = BranchEnsemble([1.0], (u / scale)[:, None], (v / scale)[:, None])
 
-    def reduced(branches):
-        dim = branches[0].u.n_max + 1
-        rho = np.zeros((dim, dim), dtype=complex)
-        for b in branches:
-            rho += b.weight * (
-                np.outer(b.u.amps, b.u.amps.conj())
-                + np.outer(b.v.amps, b.v.amps.conj())
-            )
-        return rho
+    def reduced(ens):
+        w = ens.weights
+        return (ens.U * w) @ ens.U.conj().T + (ens.V * w) @ ens.V.conj().T
 
     exact = dict(tail_tol=1e-30)
-    step_ab = []
-    for b in loss_on_branch(branch, LossChannelParams(eta=0.9, **exact)):
-        step_ab.extend(loss_on_branch(b, LossChannelParams(eta=0.8, **exact)))
-    one_shot = loss_on_branch(branch, LossChannelParams(eta=0.72, **exact))
+    step_ab = loss_on_branch(loss_on_branch(branch, 0.9, **exact), 0.8, **exact)
+    one_shot = loss_on_branch(branch, 0.72, **exact)
     semigroup_gap = np.abs(reduced(step_ab) - reduced(one_shot)).max()
     assert semigroup_gap <= 1e-10
 
@@ -321,11 +306,8 @@ def test_criterion_11_channel_algebra():
     psi /= np.linalg.norm(psi)
     amps = np.zeros(1200, dtype=complex)
     amps[:21] = psi
-    state = FockAmplitudes.from_array(amps)
-    back = apply_squeeze(
-        apply_squeeze(state, SqueezeParams(1.4, +1)), SqueezeParams(1.4, -1)
-    )
-    round_trip_gap = np.abs(back.amps - state.amps).max()
+    back = apply_squeeze(apply_squeeze(amps, 1.4, +1), 1.4, -1)
+    round_trip_gap = np.abs(back - amps).max()
     assert round_trip_gap <= 1e-8
 
     report(

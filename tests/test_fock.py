@@ -2,19 +2,20 @@
 
 Expected amplitude values were frozen from 40-digit mpmath evaluation of the
 squeezed-state series; channel algebra is checked against brute-force dense
-Kraus matrices built independently with math.comb.
+Kraus matrices built independently with math.comb, and the squeeze
+propagator against scipy.linalg.expm of the dense truncated generator.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from micromacro import (
-    EntangledBranch,
-    FockAmplitudes,
-    LossChannelParams,
-    SqueezeParams,
+    BranchEnsemble,
+    SqueezePropagator,
     TailToleranceError,
     TruncationError,
     apply_squeeze,
@@ -27,6 +28,8 @@ from micromacro import (
     squeezed_one,
     squeezed_vacuum,
 )
+
+from micromacro.fock import prune_branches
 
 from conftest import random_branches
 
@@ -50,40 +53,40 @@ RATIO_26 = 3.022311747061185  # (1+3 sinh^2 2.6)/sinh^2 2.6, mpmath
 class TestSqueezedStates:
     def test_r_zero_is_vacuum(self):
         st = squeezed_vacuum(0.0)
-        assert st.amps[0] == 1.0
-        assert np.all(st.amps[1:] == 0.0)
+        assert st[0] == 1.0
+        assert np.all(st[1:] == 0.0)
 
     def test_r_zero_single_photon(self):
         st = squeezed_one(0.0)
-        assert st.amps[1] == 1.0
-        assert st.amps[0] == 0.0
+        assert st[1] == 1.0
+        assert st[0] == 0.0
 
     def test_closed_form_amplitudes_r_05(self):
         sv = squeezed_vacuum(0.5)
         for n, ref in SV_05.items():
-            assert sv.amps[n].real == pytest.approx(ref, abs=1e-14)
+            assert sv[n] == pytest.approx(ref, abs=1e-14)
         so = squeezed_one(0.5)
         for n, ref in SO_05.items():
-            assert so.amps[n].real == pytest.approx(ref, abs=1e-14)
+            assert so[n] == pytest.approx(ref, abs=1e-14)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 2.6])
     def test_parity_support(self, r):
         sv = squeezed_vacuum(r)
         so = squeezed_one(r)
-        assert np.all(sv.amps[1::2] == 0.0)
-        assert np.all(so.amps[0::2] == 0.0)
+        assert np.all(sv[1::2] == 0.0)
+        assert np.all(so[0::2] == 0.0)
 
     @pytest.mark.parametrize("r", [0.5, 1.5, 2.6])
     def test_norm_within_tail_tolerance(self, r):
         for state in (squeezed_vacuum(r), squeezed_one(r)):
-            assert state.norm_sq == pytest.approx(1.0, abs=2e-10)
+            assert np.sum(state**2) == pytest.approx(1.0, abs=2e-10)
 
     def test_fig2a_distributions_r26(self):
         # even-only / odd-only photon statistics with the 3:1 mean ratio
         sv = squeezed_vacuum(2.6)
         so = squeezed_one(2.6)
-        assert np.all(sv.probabilities()[1::2] == 0.0)
-        assert np.all(so.probabilities()[0::2] == 0.0)
+        assert np.all(sv[1::2] ** 2 == 0.0)
+        assert np.all(so[0::2] ** 2 == 0.0)
         ratio = mean_photon(so) / mean_photon(sv)
         assert ratio == pytest.approx(RATIO_26, abs=1e-6)
 
@@ -99,7 +102,7 @@ class TestSqueezedStates:
             bound = choose_n_max(r)
             assert bound >= previous
             previous = bound
-            assert squeezed_vacuum(r, bound).tail_mass(bound - 2) < 1e-9
+            assert np.sum(squeezed_vacuum(r, bound)[bound - 1 :] ** 2) < 1e-9
 
     def test_choose_n_max_cap(self):
         with pytest.raises(TruncationError):
@@ -122,42 +125,85 @@ class TestMeanPhoton:
         assert n1 == pytest.approx(1.0 + 3.0 * s2, rel=1e-6)
 
 
+def _fock(n: int, n_max: int) -> np.ndarray:
+    out = np.zeros(n_max + 1)
+    out[n] = 1.0
+    return out
+
+
+def _dense_generator(n_max: int) -> np.ndarray:
+    """Independent oracle: (a^2 - a+^2)/2 as a dense truncated matrix."""
+    out = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max - 1):
+        b = math.sqrt((n + 1) * (n + 2)) / 2.0
+        out[n, n + 2] = b
+        out[n + 2, n] = -b
+    return out
+
+
+class TestSqueezePropagator:
+    # n_max 5..13 covers even- and odd-length parity chains (the zero mode)
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 6, 7, 8, 12, 13])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_dense_expm(self, n_max, sign):
+        r = 0.8
+        oracle = expm(sign * r * _dense_generator(n_max))
+        got = SqueezePropagator(r, n_max).apply_columns(np.eye(n_max + 1), sign)
+        assert np.abs(got - oracle).max() < 1e-12
+
+    def test_complex_stack_splits_into_parts(self):
+        rng = np.random.default_rng(3)
+        ens = random_branches(rng, count=4, dim=12)
+        stack = np.concatenate([ens.U, ens.V], axis=1)
+        prop = SqueezePropagator(0.6, 11)
+        for sign in (+1, -1):
+            whole = prop.apply_columns(stack, sign)
+            parts = prop.apply_columns(stack.real, sign) + 1j * prop.apply_columns(
+                stack.imag, sign
+            )
+            assert np.array_equal(whole, parts)
+            assert np.abs(whole - expm(sign * 0.6 * _dense_generator(11)) @ stack).max() < 1e-12
+
+    def test_vector_input_keeps_shape(self):
+        out = SqueezePropagator(0.5, 9).apply_columns(_fock(1, 9))
+        assert out.shape == (10,)
+
+
 class TestApplySqueeze:
     def test_matches_closed_form_on_vacuum(self):
         sv = squeezed_vacuum(0.5)
-        out = apply_squeeze(FockAmplitudes.fock(0, sv.n_max), SqueezeParams(0.5, +1))
-        assert np.abs(out.amps - sv.amps).max() < 1e-8
+        out = apply_squeeze(_fock(0, len(sv) - 1), 0.5, +1)
+        assert np.abs(out - sv).max() < 1e-8
 
     def test_matches_closed_form_on_one(self):
         so = squeezed_one(1.2)
-        out = apply_squeeze(FockAmplitudes.fock(1, so.n_max), SqueezeParams(1.2, +1))
-        assert np.abs(out.amps - so.amps).max() < 1e-8
+        out = apply_squeeze(_fock(1, len(so) - 1), 1.2, +1)
+        assert np.abs(out - so).max() < 1e-8
 
     def test_odd_support_preserved(self):
-        out = apply_squeeze(FockAmplitudes.fock(1, 200), SqueezeParams(1.0, +1))
-        assert np.abs(out.amps[::2]).max() == 0.0
+        out = apply_squeeze(_fock(1, 200), 1.0, +1)
+        assert np.abs(out[::2]).max() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_round_trip_random_state(self, seed):
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=21) + 1j * rng.normal(size=21)
         psi /= np.linalg.norm(psi)
-        amps = np.zeros(1200, dtype=complex)
-        amps[:21] = psi
-        state = FockAmplitudes.from_array(amps)
+        state = np.zeros(1200, dtype=complex)
+        state[:21] = psi
         r = float(rng.uniform(0.2, 1.5))
-        fwd = apply_squeeze(state, SqueezeParams(r, +1))
-        assert fwd.norm_sq == pytest.approx(1.0, abs=1e-8)
-        back = apply_squeeze(fwd, SqueezeParams(r, -1))
-        assert np.abs(back.amps - state.amps).max() < 1e-8
+        fwd = apply_squeeze(state, r, +1)
+        assert np.vdot(fwd, fwd).real == pytest.approx(1.0, abs=1e-8)
+        back = apply_squeeze(fwd, r, -1)
+        assert np.abs(back - state).max() < 1e-8
 
     def test_identity_at_r_zero(self):
-        state = FockAmplitudes.fock(1, 10)
-        assert apply_squeeze(state, SqueezeParams(0.0, +1)) is state
+        state = _fock(1, 10)
+        assert apply_squeeze(state, 0.0, +1) is state
 
     def test_leak_past_n_max_raises(self):
         with pytest.raises(TruncationError):
-            apply_squeeze(FockAmplitudes.fock(0, 10), SqueezeParams(2.0, +1))
+            apply_squeeze(_fock(0, 10), 2.0, +1)
 
 
 def _dense_kraus(n_dim: int, k: int, eta: float) -> np.ndarray:
@@ -178,32 +224,27 @@ def _channel(rho: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def _reduced_dm(branches) -> np.ndarray:
-    dim = branches[0].u.n_max + 1
-    rho = np.zeros((dim, dim), dtype=complex)
-    for b in branches:
-        rho += b.weight * (
-            np.outer(b.u.amps, b.u.amps.conj())
-            + np.outer(b.v.amps, b.v.amps.conj())
-        )
-    return rho
+def _reduced_dm(ens) -> np.ndarray:
+    w = ens.weights
+    return (ens.U * w) @ ens.U.conj().T + (ens.V * w) @ ens.V.conj().T
+
+
+def _single(u, v, weight=1.0) -> BranchEnsemble:
+    return BranchEnsemble([weight], np.asarray(u)[:, None], np.asarray(v)[:, None])
 
 
 class TestLossChannel:
     def test_lossless_identity(self, bell_branch):
-        out = loss_on_branch(bell_branch, LossChannelParams(eta=1.0))
+        out = loss_on_branch(bell_branch, 1.0)
         assert len(out) == 1
-        assert out[0] is bell_branch
+        assert out is bell_branch
 
     def test_single_photon_branches(self):
-        u = FockAmplitudes.fock(1, 4)
-        v = FockAmplitudes.from_array(np.zeros(5))
-        out = loss_on_branch(
-            EntangledBranch(weight=1.0, u=u, v=v), LossChannelParams(eta=0.9)
-        )
+        out = loss_on_branch(_single(_fock(1, 4), np.zeros(5)), 0.9)
         assert len(out) == 2
-        assert out[0].u.amps[1] == pytest.approx(math.sqrt(0.9))
-        assert out[1].u.amps[0] == pytest.approx(math.sqrt(0.1))
+        assert out.kraus_orders == (1,)
+        assert out.U[1, 0] == pytest.approx(math.sqrt(0.9))
+        assert out.U[0, 1] == pytest.approx(math.sqrt(0.1))
         rho = _reduced_dm(out)
         assert rho[1, 1] == pytest.approx(0.9)
         assert rho[0, 0] == pytest.approx(0.1)
@@ -213,16 +254,9 @@ class TestLossChannel:
         branches = random_branches(rng, count=2, dim=11)
         rho_in = _reduced_dm(branches)
 
-        exact = LossChannelParams(eta=0.9, tail_tol=1e-30)
-        after_a = []
-        for b in branches:
-            after_a.extend(loss_on_branch(b, exact))
-        after_ab = []
-        for b in after_a:
-            after_ab.extend(loss_on_branch(b, LossChannelParams(eta=0.8, tail_tol=1e-30)))
-        combined = []
-        for b in branches:
-            combined.extend(loss_on_branch(b, LossChannelParams(eta=0.72, tail_tol=1e-30)))
+        after_a = loss_on_branch(branches, 0.9, tail_tol=1e-30)
+        after_ab = loss_on_branch(after_a, 0.8, tail_tol=1e-30)
+        combined = loss_on_branch(branches, 0.72, tail_tol=1e-30)
 
         assert np.abs(_reduced_dm(after_ab) - _reduced_dm(combined)).max() < 1e-10
         # and both agree with the dense superoperator oracle
@@ -231,52 +265,93 @@ class TestLossChannel:
 
     def test_trace_deficit_below_tolerance(self):
         sv = squeezed_vacuum(1.5)
-        branch = EntangledBranch(
-            weight=1.0,
-            u=sv,
-            v=FockAmplitudes.from_array(np.zeros(sv.n_max + 1)),
-        )
-        params = LossChannelParams(eta=0.8, tail_tol=1e-10)
-        out = loss_on_branch(branch, params)
-        total = sum(b.trace_contribution for b in out)
-        assert branch.trace_contribution - total < 1e-10
-        assert total <= branch.trace_contribution + 1e-12
+        branch = _single(sv, np.zeros(len(sv)))
+        out = loss_on_branch(branch, 0.8, tail_tol=1e-10)
+        total = out.traces.sum()
+        assert branch.traces.sum() - total < 1e-10
+        assert total <= branch.traces.sum() + 1e-12
 
     def test_explicit_k_max_unreachable(self):
         sv = squeezed_vacuum(1.5)
-        branch = EntangledBranch(
-            weight=1.0,
-            u=sv,
-            v=FockAmplitudes.from_array(np.zeros(sv.n_max + 1)),
-        )
+        branch = _single(sv, np.zeros(len(sv)))
         with pytest.raises(TailToleranceError):
-            loss_on_branch(branch, LossChannelParams(eta=0.5, k_max=1, tail_tol=1e-10))
+            loss_on_branch(branch, 0.5, tail_tol=1e-10, k_max=1)
 
-    def test_invalid_eta(self):
+    def test_invalid_eta(self, bell_branch):
+        for eta in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                loss_on_branch(bell_branch, eta)
         with pytest.raises(ValueError):
-            LossChannelParams(eta=1.2)
+            loss_on_branch(bell_branch, 0.9, k_max=-1)
 
     def test_eta_zero_dumps_to_vacuum(self):
-        u = FockAmplitudes.fock(3, 5)
-        v = FockAmplitudes.from_array(np.zeros(6))
-        out = loss_on_branch(
-            EntangledBranch(weight=1.0, u=u, v=v), LossChannelParams(eta=0.0)
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log(0) in the Kraus table
+            out = loss_on_branch(_single(_fock(3, 5), np.zeros(6)), 0.0)
+        # E_k = |0><k|: only the k = 3 image survives, moved to vacuum
+        assert np.abs(out.U[1:]).max() == 0.0
+        assert np.flatnonzero(out.U[0]).tolist() == [3]
         rho = _reduced_dm(out)
         assert rho[0, 0] == pytest.approx(1.0)
         assert np.abs(rho - np.diag(np.diag(rho))).max() == 0.0
 
+    def test_matches_dense_kraus_per_order(self):
+        rng = np.random.default_rng(8)
+        ens = random_branches(rng, count=3, dim=9)
+        out = loss_on_branch(ens, 0.7, tail_tol=1e-30)
+        assert out.kraus_orders == (8, 8, 8)
+        for b in range(3):
+            for k in range(9):
+                e_k = _dense_kraus(9, k, 0.7)
+                j = 9 * b + k
+                assert np.abs(out.U[:, j] - e_k @ ens.U[:, b]).max() < 1e-14
+                assert np.abs(out.V[:, j] - e_k @ ens.V[:, b]).max() < 1e-14
+                assert out.weights[j] == ens.weights[b]
+
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
-        total = sum(b.trace_contribution for b in out)
-        assert total == pytest.approx(bell_branch.trace_contribution)
-        assert out[0].u.amps[0] == pytest.approx(math.sqrt(0.8) / math.sqrt(2))
-        assert out[1].v.amps[0] == pytest.approx(math.sqrt(0.2) / math.sqrt(2))
+        assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
+        assert out.U[0, 0] == pytest.approx(math.sqrt(0.8) / math.sqrt(2))
+        assert out.V[0, 1] == pytest.approx(math.sqrt(0.2) / math.sqrt(2))
+
+
+class TestEnsemble:
+    def test_len_is_branch_count(self):
+        ens = random_branches(np.random.default_rng(1), count=5, dim=4)
+        assert len(ens) == 5
+        assert ens.n_max == 3
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            BranchEnsemble([1.0, 1.0], np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            BranchEnsemble([1.0], np.zeros((3, 1)), np.zeros((4, 1)))
+        with pytest.raises(ValueError):
+            BranchEnsemble([-1.0], np.zeros((3, 1)), np.zeros((3, 1)))
+
+    def test_support_is_weighted_suffix_scan(self):
+        u = np.zeros((8, 2))
+        v = np.zeros((8, 2))
+        u[2, 0] = 1.0
+        v[5, 1] = 1e-4  # mass 1e-8 * weight 0.5
+        ens = BranchEnsemble([1.0, 0.5], u, v)
+        assert ens.support(1e-12) == 5
+        assert ens.support(1e-6) == 2
+        assert ens.support(10.0) == 1  # nothing above the tolerance
+
+    def test_prune_is_a_mask(self):
+        u = np.zeros((3, 3))
+        u[0] = [1.0, 1e-8, 0.5]
+        ens = BranchEnsemble([1.0, 1.0, 1.0], u, np.zeros((3, 3)))
+        kept, dropped = prune_branches(ens)
+        assert len(kept) == 2
+        assert dropped == pytest.approx(1e-16)
+        assert np.array_equal(kept.U[0], [1.0, 0.5])
 
 
 class TestProjection:
     def test_input_state_block(self, bell_branch):
-        rho = branches_to_projected([bell_branch])
+        rho = branches_to_projected(bell_branch)
         assert rho.p01 == pytest.approx(0.5)
         assert rho.p10 == pytest.approx(0.5)
         assert rho.d == pytest.approx(0.5)
@@ -285,7 +360,7 @@ class TestProjection:
 
     def test_single_photon_loss_closed_form(self, bell_branch):
         # r=0 with eta=0.81 on arm B: worked out by hand from two branches
-        out = loss_on_branch(bell_branch, LossChannelParams(eta=0.81))
+        out = loss_on_branch(bell_branch, 0.81)
         rho = branches_to_projected(out)
         assert rho.p10 == pytest.approx(0.5, abs=1e-12)
         assert rho.p01 == pytest.approx(0.405, abs=1e-12)
@@ -298,11 +373,7 @@ class TestProjection:
         rng = np.random.default_rng(11)
         for eta in (1.0, 0.93, 0.6):
             branches = random_branches(rng, count=3, dim=9)
-            expanded = []
-            for b in branches:
-                expanded.extend(
-                    loss_on_branch(b, LossChannelParams(eta=eta, tail_tol=1e-30))
-                )
+            expanded = loss_on_branch(branches, eta, tail_tol=1e-30)
             direct = branches_to_projected(expanded)
             fused = project_through_loss(branches, eta)
             assert np.abs(direct.matrix - fused.matrix).max() < 1e-13
@@ -310,7 +381,7 @@ class TestProjection:
     def test_ensemble_trace_bound(self):
         rng = np.random.default_rng(5)
         branches = random_branches(rng, count=4, dim=7)
-        total = sum(b.trace_contribution for b in branches)
+        total = branches.traces.sum()
         assert total <= 1.0 + 1e-12
         rho = branches_to_projected(branches)
         assert rho.trace <= total + 1e-12

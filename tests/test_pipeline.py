@@ -48,6 +48,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(r=1.0, eta=1.2).validate()
 
+    @pytest.mark.parametrize(
+        "field", ["r", "target_n", "eta1", "eta", "eta2", "tail_tol"]
+    )
+    def test_non_finite_rejected(self, field):
+        base = {} if field in ("r", "target_n") else {"r": 1.0}
+        for bad in (math.nan, math.inf, -math.inf):
+            cfg = ExperimentConfig(**base, **{field: bad})
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                cfg.validate()
+
     def test_engine_resolution(self):
         assert ExperimentConfig(target_n=100.0).resolved_engine() == "phase_space"
         assert ExperimentConfig(r=0.5).resolved_engine() == "fock"
@@ -117,6 +127,20 @@ class TestRun:
         # branch-level expansion (keep_state) must match the block-level map
         kept = run(replace(cfg, engine="fock"), keep_state=True)
         assert np.abs(kept.rho_p.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("field", ["eta1", "eta", "eta2"])
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    def test_eta_zero_runs_in_both_engines(self, field, loss_on_a):
+        cfg = ExperimentConfig(r=1.0, loss_on_a=loss_on_a, engine="both")
+        res = run(replace(cfg, **{field: 0.0}))
+        assert res.diagnostics.disagreement < 1e-9
+        kept = run(replace(cfg, engine="fock", **{field: 0.0}), keep_state=True)
+        assert np.abs(kept.rho_p.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+
+    def test_eta_zero_auto_above_switch(self):
+        res = run(ExperimentConfig(target_n=100.0, eta=0.0))
+        assert res.engine == "phase_space"
+        assert res.rho_p.p11 == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_on_a_reduces_one_photon_populations(self):
         base = run(ExperimentConfig(r=1.0, eta=0.95, eta2=0.9, engine="fock"))

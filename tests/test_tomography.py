@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from micromacro import (
-    EntangledBranch,
+    BranchEnsemble,
     ExperimentConfig,
-    FockAmplitudes,
     IllConditionedError,
     TomographyRecord,
     concurrence_with_uncertainty,
@@ -25,6 +24,10 @@ from micromacro import (
     run,
     sample,
 )
+
+
+def _two_mode_vacuum() -> BranchEnsemble:
+    return BranchEnsemble([1.0], [[0.0], [0.0]], [[1.0], [0.0]])
 
 
 class TestHermiteFunctions:
@@ -42,9 +45,7 @@ class TestHermiteFunctions:
 
 class TestJointPdf:
     def test_two_mode_vacuum(self):
-        vac = FockAmplitudes.from_array([1.0, 0.0])
-        zero = FockAmplitudes.from_array([0.0, 0.0])
-        state = [EntangledBranch(weight=1.0, u=zero, v=vac)]
+        state = _two_mode_vacuum()
         x = np.linspace(-3, 3, 11)
         xa, xb = np.meshgrid(x, x)
         for th in (0.0, 0.9, 2.5):
@@ -53,7 +54,7 @@ class TestJointPdf:
             assert np.abs(vals - expected).max() < 1e-12
 
     def test_input_state_closed_form(self, bell_branch):
-        pdf = joint_pdf([bell_branch], 0.0, 0.0)
+        pdf = joint_pdf(bell_branch, 0.0, 0.0)
         x = np.linspace(-3, 3, 11)
         xa, xb = np.meshgrid(x, x)
         expected = np.exp(-(xa**2) - xb**2) * (xa + xb) ** 2 / math.pi
@@ -72,7 +73,7 @@ class TestJointPdf:
             assert p_fock.min() >= -1e-12
 
     def test_normalization(self, bell_branch):
-        pdf = joint_pdf([bell_branch], 0.7, 1.3)
+        pdf = joint_pdf(bell_branch, 0.7, 1.3)
         g = np.linspace(-8, 8, 401)
         xa, xb = np.meshgrid(g, g)
         total = np.trapezoid(np.trapezoid(pdf(xa, xb), g, axis=1), g)
@@ -81,27 +82,25 @@ class TestJointPdf:
 
 class TestSampler:
     def test_deterministic(self, bell_branch):
-        a = sample([bell_branch], 5000, seed=42)
-        b = sample([bell_branch], 5000, seed=42)
+        a = sample(bell_branch, 5000, seed=42)
+        b = sample(bell_branch, 5000, seed=42)
         for field in ("theta_a", "theta_b", "x_a", "x_b"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_different_seeds_differ(self, bell_branch):
-        a = sample([bell_branch], 100, seed=1)
-        b = sample([bell_branch], 100, seed=2)
+        a = sample(bell_branch, 100, seed=1)
+        b = sample(bell_branch, 100, seed=2)
         assert not np.array_equal(a.x_a, b.x_a)
 
     def test_vacuum_variance(self):
-        vac = FockAmplitudes.from_array([1.0, 0.0])
-        zero = FockAmplitudes.from_array([0.0, 0.0])
-        rec = sample([EntangledBranch(weight=1.0, u=zero, v=vac)], 100000, seed=3)
+        rec = sample(_two_mode_vacuum(), 100000, seed=3)
         for xs in (rec.x_a, rec.x_b):
             var = np.mean(xs**2)
             se = np.std(xs**2) / math.sqrt(len(xs))
             assert abs(var - 0.5) < 5 * se
 
     def test_input_state_correlation_at_zero_phase(self, bell_branch):
-        rec = sample([bell_branch], 180000, phase_policy="fixed_grid", seed=9)
+        rec = sample(bell_branch, 180000, phase_policy="fixed_grid", seed=9)
         mask = (rec.theta_a == 0.0) & (rec.theta_b == 0.0)
         assert mask.sum() >= 4000
         prod = rec.x_a[mask] * rec.x_b[mask]
@@ -110,14 +109,14 @@ class TestSampler:
 
     def test_invalid_args(self, bell_branch):
         with pytest.raises(ValueError):
-            sample([bell_branch], 0, seed=1)
+            sample(bell_branch, 0, seed=1)
         with pytest.raises(ValueError):
-            sample([bell_branch], 10, phase_policy="spiral", seed=1)
+            sample(bell_branch, 10, phase_policy="spiral", seed=1)
 
 
 class TestRecordCsv:
     def test_round_trip(self, bell_branch):
-        rec = sample([bell_branch], 500, seed=5, config_snapshot={"r": "0"})
+        rec = sample(bell_branch, 500, seed=5, config_snapshot={"r": "0"})
         text = rec.to_csv_text()
         assert text.startswith("# schema: tomography-record v1")
         back = TomographyRecord.from_csv_text(text)
@@ -137,7 +136,7 @@ class TestRecordCsv:
         assert rec.x_b[1] == 1.25
 
     def test_file_round_trip(self, tmp_path, bell_branch):
-        rec = sample([bell_branch], 100, seed=8)
+        rec = sample(bell_branch, 100, seed=8)
         path = tmp_path / "rec.csv"
         rec.to_csv(path)
         back = TomographyRecord.from_csv(path)
@@ -185,7 +184,7 @@ class TestPatternFunctions:
 
 class TestReconstruct:
     def test_input_state_reconstruction(self, bell_branch):
-        rec = sample([bell_branch], 100000, seed=17)
+        rec = sample(bell_branch, 100000, seed=17)
         recon = reconstruct(rec)
         truth = np.zeros((4, 4))
         truth[1, 1] = truth[2, 2] = truth[2, 1] = truth[1, 2] = 0.5
@@ -198,9 +197,7 @@ class TestReconstruct:
         assert np.trace(recon.estimate).real <= 1.0 + 3.0 * trace_se
 
     def test_vacuum_one_photon_populations_vanish(self):
-        vac = FockAmplitudes.from_array([1.0, 0.0])
-        zero = FockAmplitudes.from_array([0.0, 0.0])
-        rec = sample([EntangledBranch(weight=1.0, u=zero, v=vac)], 50000, seed=23)
+        rec = sample(_two_mode_vacuum(), 50000, seed=23)
         recon = reconstruct(rec)
         for idx in (1, 2, 3):
             assert abs(recon.estimate[idx, idx].real) < 3 * recon.se_real[idx, idx]
@@ -209,7 +206,7 @@ class TestReconstruct:
         )
 
     def test_extended_populations(self, bell_branch):
-        rec = sample([bell_branch], 50000, seed=31)
+        rec = sample(bell_branch, 50000, seed=31)
         recon = reconstruct(rec)
         # one photon split between (1,0) and (0,1); nothing above
         assert recon.extended_populations[1, 0] == pytest.approx(
@@ -229,14 +226,14 @@ class TestReconstruct:
             reconstruct(rec)
 
     def test_error_scaling(self, bell_branch):
-        rec_small = sample([bell_branch], 2000, seed=41)
-        rec_large = sample([bell_branch], 20000, seed=41)
+        rec_small = sample(bell_branch, 2000, seed=41)
+        rec_large = sample(bell_branch, 20000, seed=41)
         se_small = reconstruct(rec_small).se_real[2, 1]
         se_large = reconstruct(rec_large).se_real[2, 1]
         assert se_small / se_large == pytest.approx(math.sqrt(10.0), rel=0.3)
 
     def test_concurrence_with_uncertainty(self, bell_branch):
-        rec = sample([bell_branch], 60000, seed=13)
+        rec = sample(bell_branch, 60000, seed=13)
         recon = reconstruct(rec)
         value, err = concurrence_with_uncertainty(recon)
         assert err > 0

@@ -99,9 +99,18 @@ class TestSqueezeRescale:
 class TestLossConvolve:
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            loss_convolve(vacuum_pair(), 0.0)
+            loss_convolve(vacuum_pair(), -0.1)
         with pytest.raises(ValueError):
             loss_convolve(vacuum_pair(), 1.2)
+
+    def test_eta_zero_traces_mode_to_vacuum(self):
+        # completed-square limit s = 1, D = gamma: the mode forgets its input
+        W = squeeze_rescale(initial_wigner(), 1.0, +1)
+        out = loss_convolve(W, 0.0)
+        assert np.abs(out.widths[2:] - 1.0).max() < 1e-15
+        assert np.abs(out.coeffs[:, :, 1:, :]).max() == 0.0
+        assert np.abs(out.coeffs[:, :, :, 1:]).max() == 0.0
+        assert np.isfinite(out.coeffs).all()
 
     def test_eta_one_is_identity(self):
         W = initial_wigner()
