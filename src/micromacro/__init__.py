@@ -43,7 +43,6 @@ from .pipeline import (
     ExperimentResult,
     SweepEntry,
     amplified_mean_photons,
-    load_config,
     run,
     solve_r_for_n,
     sweep,
@@ -61,7 +60,6 @@ from .tomography import (
 )
 from .wigner import (
     GaussianPolyWigner,
-    MomentQuery,
     extract_projected,
     gaussian_moment,
     initial_wigner,
@@ -82,7 +80,6 @@ __all__ = [
     "GaussianPolyWigner",
     "IllConditionedError",
     "MicroMacroError",
-    "MomentQuery",
     "NotAnXStateError",
     "ProjectedDensityMatrix",
     "QuadratureSample",
@@ -104,7 +101,6 @@ __all__ = [
     "hermite_functions",
     "initial_wigner",
     "joint_pdf",
-    "load_config",
     "loss_convolve",
     "loss_on_branch",
     "loss_on_spectator",

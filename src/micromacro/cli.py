@@ -22,7 +22,7 @@ from . import io as mio
 from . import pipeline as pl
 from . import tomography as tomo
 from .errors import MicroMacroError
-from .fock import DEFAULT_TAIL_TOL, choose_n_max, squeezed_one, squeezed_vacuum
+from .fock import choose_n_max, squeezed_one, squeezed_vacuum
 from .wigner import single_mode_wigner_section
 
 OUTDIR_ENV = "MICROMACRO_OUTDIR"
@@ -52,33 +52,20 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _merge_config(args) -> pl.ExperimentConfig:
-    values = {
-        "r": None,
-        "target_n": None,
-        "eta1": 1.0,
-        "eta": 1.0,
-        "eta2": 1.0,
-        "engine": "auto",
-        "loss_on_a": False,
-        "tail_tol": DEFAULT_TAIL_TOL,
-        "seed": 0,
-    }
+    cfg = pl.ExperimentConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(pl.config_values_from_mapping(pl.parse_kv_text(fh.read())))
+        cfg = pl.ExperimentConfig.from_file(args.config)
+    flags = {
+        name: getattr(args, name, None)
+        for name in ("eta1", "eta", "eta2", "engine", "loss_on_a", "tail_tol", "seed")
+    }
     if args.r is not None:
-        values["r"], values["target_n"] = args.r, None
+        flags.update(r=args.r, target_n=None)
     if args.n is not None:
-        values["target_n"], values["r"] = args.n, None
-    for name in ("eta1", "eta", "eta2", "engine", "loss_on_a", "tail_tol"):
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = flag
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if values["r"] is None and values["target_n"] is None:
+        flags.update(target_n=args.n, r=None)
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    if cfg.r is None and cfg.target_n is None:
         raise ValueError("one of --r / --n (or a config file setting) is required")
-    cfg = pl.ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
@@ -157,62 +144,70 @@ def cmd_fig2(args) -> int:
     return 0
 
 
-def _load_grid(path_or_none, default_name) -> dict[str, str]:
+def _load_grid(path_or_none, default_name, required, optional) -> dict[str, str]:
+    """Grid file entries, checked against the keys the figure reads."""
     if path_or_none:
         with open(path_or_none, "r", encoding="utf-8") as fh:
-            return pl.parse_kv_text(fh.read())
-    text = resources.files("micromacro.configs").joinpath(default_name).read_text()
-    return pl.parse_kv_text(text)
+            text = fh.read()
+    else:
+        text = resources.files("micromacro.configs").joinpath(default_name).read_text()
+    grid = pl.parse_kv_text(text)
+    for key in required:
+        if key not in grid:
+            raise ValueError(f"grid file lacks the required key {key!r}")
+    unknown = sorted(set(grid) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(
+            f"unknown grid key(s) {unknown}; allowed: {required + optional}"
+        )
+    return grid
 
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _write_figure(args, name, base, axis, values, eta_values, filename) -> int:
+    """Sweep ``axis`` once per mid-stage eta; any failed point aborts the figure."""
+    rows = []
+    for eta in eta_values:
+        for e in pl.sweep(replace(base, eta=eta), axis, values, n_workers=args.workers):
+            if e.error:
+                raise MicroMacroError(
+                    f"{name} point {axis}={e.value}, eta={eta}: {e.error}"
+                )
+            rows.append(mio.ResultRow.from_result(e.result))
+    mio.write_result_rows(os.path.join(_outdir(args), filename), rows)
+    return 0
+
+
 def cmd_fig3(args) -> int:
-    grid = _load_grid(args.grid_file, "fig3_grid.cfg")
-    n_values = _float_list(grid["n_values"])
-    eta_values = _float_list(grid["eta_values"])
+    grid = _load_grid(
+        args.grid_file, "fig3_grid.cfg",
+        ("n_values", "eta_values"), ("eta1", "eta2", "engine"),
+    )
     base = pl.ExperimentConfig(
-        target_n=n_values[0],
         eta1=float(grid.get("eta1", 1.0)),
         eta2=float(grid.get("eta2", 1.0)),
         engine=grid.get("engine", "phase_space"),
     )
-    rows = []
-    for eta in eta_values:
-        entries = pl.sweep(replace(base, eta=eta), "n", n_values, n_workers=args.workers)
-        for e in entries:
-            if e.error:
-                raise MicroMacroError(f"fig3 point n={e.value}, eta={eta}: {e.error}")
-            rows.append(mio.ResultRow.from_result(e.result))
-    out = os.path.join(_outdir(args), "fig3_concurrence_success.csv")
-    mio.write_result_rows(out, rows)
-    return 0
+    return _write_figure(
+        args, "fig3", base, "n", _float_list(grid["n_values"]),
+        _float_list(grid["eta_values"]), "fig3_concurrence_success.csv",
+    )
 
 
 def cmd_fig4(args) -> int:
-    grid = _load_grid(args.grid_file, "fig4_grid.cfg")
-    eta_values = _float_list(grid["eta_values"])
-    eta12_values = _float_list(grid["eta12_values"])
-    base = pl.ExperimentConfig(
-        target_n=float(grid.get("n", 100.0)),
-        engine=grid.get("engine", "phase_space"),
+    grid = _load_grid(
+        args.grid_file, "fig4_grid.cfg", ("eta_values", "eta12_values"), ("n", "engine")
     )
-    rows = []
-    for eta in eta_values:
-        entries = pl.sweep(
-            replace(base, eta=eta), "eta12", eta12_values, n_workers=args.workers
-        )
-        for e in entries:
-            if e.error:
-                raise MicroMacroError(
-                    f"fig4 point eta12={e.value}, eta={eta}: {e.error}"
-                )
-            rows.append(mio.ResultRow.from_result(e.result))
-    out = os.path.join(_outdir(args), "fig4_concurrence_vs_outer_loss.csv")
-    mio.write_result_rows(out, rows)
-    return 0
+    base = pl.ExperimentConfig(
+        target_n=float(grid.get("n", 100.0)), engine=grid.get("engine", "phase_space")
+    )
+    return _write_figure(
+        args, "fig4", base, "eta12", _float_list(grid["eta12_values"]),
+        _float_list(grid["eta_values"]), "fig4_concurrence_vs_outer_loss.csv",
+    )
 
 
 def cmd_tomo(args) -> int:

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import NotAnXStateError
 
-# Matrix positions allowed to be nonzero for an X-structured state.
-X_POSITIONS = frozenset(
-    {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0)}
-)
+# Matrix positions allowed to be nonzero for an X-structured state: the
+# diagonal and the anti-diagonal.
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 _SIGMA_YY = np.array(
     [
@@ -89,12 +88,7 @@ class ProjectedDensityMatrix:
 
     def off_x_max(self) -> float:
         """Largest magnitude outside the X positions (zero-structure audit)."""
-        worst = 0.0
-        for i in range(4):
-            for j in range(4):
-                if (i, j) not in X_POSITIONS:
-                    worst = max(worst, abs(self.matrix[i, j]))
-        return worst
+        return float(np.abs(self.matrix[~_X_MASK]).max())
 
     def normalized(self) -> "ProjectedDensityMatrix":
         t = self.trace
@@ -194,6 +188,18 @@ def concurrence_xstate(
     return ConcurrenceResult(value=value, branch=branch, eigenvalues=lam)
 
 
+def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Wootters construction on a Hermitian 4x4 ``m``, without checks.
+
+    Returns the raw eigenvalues mu of m (sy (x) sy) m^* (sy (x) sy), the
+    decreasing lambda_i = sqrt(max(Re mu_i, 0)), and the concurrence
+    max(0, lambda_0 - lambda_1 - lambda_2 - lambda_3).
+    """
+    mu = np.linalg.eigvals(m @ (_SIGMA_YY @ m.conj() @ _SIGMA_YY))
+    lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)))[::-1]
+    return mu, lam, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
 def concurrence_general(
     rho: ProjectedDensityMatrix,
     normalize: bool = True,
@@ -219,17 +225,13 @@ def concurrence_general(
         raise ValueError(
             f"input not positive semidefinite: eigenvalue {evals.min():.3e}"
         )
-    m_tilde = _SIGMA_YY @ m.conj() @ _SIGMA_YY
-    mu = np.linalg.eigvals(m @ m_tilde)
+    mu, lam, value = spin_flip_concurrence(m)
     if np.abs(mu.imag).max() > 1e-8:
         raise ValueError("spin-flip product has non-real eigenvalues")
-    mu = mu.real
-    if mu.min() < -positivity_tol:
+    if mu.real.min() < -positivity_tol:
         raise ValueError(
-            f"spin-flip product eigenvalue {mu.min():.3e} below tolerance"
+            f"spin-flip product eigenvalue {mu.real.min():.3e} below tolerance"
         )
-    lam = np.sort(np.sqrt(np.clip(mu, 0.0, None)))[::-1]
-    value = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     if rho.off_x_max() < 1e-8:
         p = rho.matrix
         scale = t if normalize else 1.0

@@ -14,6 +14,7 @@ trivially and results are bit-stable for a given config on a given machine.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -94,6 +95,34 @@ class ExperimentConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    @classmethod
+    def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
+        """Config from string key/value pairs, keyed as in config files.
+
+        Unset fields keep their defaults.  The result is not validated, so a
+        file may leave the strength to command-line flags; ``run`` and
+        ``validate()`` check it.
+        """
+        kwargs = {}
+        for key, text in mapping.items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown configuration key {key!r}")
+            typ = _CONFIG_KEYS[key]
+            if typ is bool:
+                value = _parse_bool(text)
+            else:
+                value = typ(text)
+            kwargs["target_n" if key == "n" else key] = value
+        return cls(**kwargs)
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        """Config from a plain-text ``key = value`` file (see ``from_mapping``)."""
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_mapping(parse_kv_text(fh.read()))
 
     def resolved_r(self) -> float:
         self.validate()
@@ -373,31 +402,3 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"cannot parse boolean from {text!r}")
-
-
-def config_values_from_mapping(mapping: dict[str, str]) -> dict:
-    """Typed ExperimentConfig field values from string key/value pairs."""
-    kwargs = {}
-    for key, text in mapping.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown configuration key {key!r}")
-        typ = _CONFIG_KEYS[key]
-        if typ is bool:
-            value = _parse_bool(text)
-        else:
-            value = typ(text)
-        kwargs["target_n" if key == "n" else key] = value
-    return kwargs
-
-
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from string key/value pairs."""
-    cfg = ExperimentConfig(**config_values_from_mapping(mapping))
-    cfg.validate()
-    return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a plain-text key = value file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_mapping(parse_kv_text(fh.read()))

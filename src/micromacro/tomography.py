@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import wigner as wg
-from .entanglement import ProjectedDensityMatrix
+from .entanglement import ProjectedDensityMatrix, spin_flip_concurrence
 from .errors import IllConditionedError
 from .fock import BranchEnsemble
 
@@ -106,6 +106,7 @@ class TomographyRecord:
     @classmethod
     def from_csv_text(cls, text: str) -> "TomographyRecord":
         seed = None
+        snapshot = {}
         rows = []
         header_seen = False
         for raw in text.splitlines():
@@ -115,6 +116,9 @@ class TomographyRecord:
             if line.startswith("#"):
                 if line.startswith("# seed:"):
                     seed = int(line.split(":", 1)[1])
+                elif line.startswith("# config ") and "=" in line:
+                    key, value = line[len("# config "):].split("=", 1)
+                    snapshot[key.strip()] = value.strip()
                 continue
             if not header_seen:
                 if line.replace(" ", "") != "theta_a,theta_b,x_a,x_b":
@@ -127,7 +131,7 @@ class TomographyRecord:
         arr = np.asarray(rows, dtype=float)
         return cls(
             theta_a=arr[:, 0], theta_b=arr[:, 1], x_a=arr[:, 2], x_b=arr[:, 3],
-            seed=seed,
+            seed=seed, config_snapshot=snapshot,
         )
 
     @classmethod
@@ -464,19 +468,11 @@ def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResul
     )
 
 
-def _wootters_value(matrix: np.ndarray) -> float:
-    """Concurrence of a (possibly slightly unphysical) Hermitian 4x4."""
+def _block_concurrence(matrix: np.ndarray) -> float:
+    """Concurrence of a noisy estimate: Hermitian part, normalized; 0 at trace <= 0."""
     m = 0.5 * (matrix + matrix.conj().T)
     t = np.trace(m).real
-    if t <= 0:
-        return 0.0
-    m = m / t
-    yy = np.array(
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
-    )
-    mu = np.linalg.eigvals(m @ (yy @ m.conj() @ yy)).real
-    lam = np.sort(np.sqrt(np.clip(mu, 0.0, None)))[::-1]
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return spin_flip_concurrence(m / t)[2] if t > 0 else 0.0
 
 
 def concurrence_with_uncertainty(
@@ -488,12 +484,12 @@ def concurrence_with_uncertainty(
     re-imposed per draw); the spread of the resulting concurrence values is
     the quoted uncertainty.
     """
-    central = _wootters_value(recon.estimate)
+    central = _block_concurrence(recon.estimate)
     rng = np.random.default_rng(seed)
     values = np.empty(n_draws)
     for i in range(n_draws):
         noise = rng.normal(scale=recon.se_real) + 1j * rng.normal(
             scale=recon.se_imag
         )
-        values[i] = _wootters_value(recon.estimate + noise)
+        values[i] = _block_concurrence(recon.estimate + noise)
     return central, float(values.std(ddof=1))

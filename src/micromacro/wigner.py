@@ -61,56 +61,15 @@ class GaussianPolyWigner:
 
     def evaluate(self, xa, pa, xb, pb) -> np.ndarray:
         """Pointwise W values; inputs broadcast elementwise."""
-        xa, pa, xb, pb = np.broadcast_arrays(
-            np.asarray(xa, dtype=float),
-            np.asarray(pa, dtype=float),
-            np.asarray(xb, dtype=float),
-            np.asarray(pb, dtype=float),
+        pts = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (xa, pa, xb, pb))
         )
-        total = np.zeros(xa.shape, dtype=complex)
-        da, db, dc, dd = self.coeffs.shape
-        pow_xa = [xa**i for i in range(da)]
-        pow_pa = [pa**i for i in range(db)]
-        pow_xb = [xb**i for i in range(dc)]
-        pow_pb = [pb**i for i in range(dd)]
-        for p in range(da):
-            for q in range(db):
-                for r in range(dc):
-                    for s in range(dd):
-                        c = self.coeffs[p, q, r, s]
-                        if c != 0:
-                            total += c * pow_xa[p] * pow_pa[q] * pow_xb[r] * pow_pb[s]
-        g = np.exp(
-            -self.widths[0] * xa**2
-            - self.widths[1] * pa**2
-            - self.widths[2] * xb**2
-            - self.widths[3] * pb**2
-        )
-        return total * g
+        powers = [v[..., None] ** np.arange(n) for v, n in zip(pts, self.coeffs.shape)]
+        poly = np.einsum("pqrs,...p,...q,...r,...s->...", self.coeffs, *powers)
+        return poly * np.exp(-sum(w * v**2 for w, v in zip(self.widths, pts)))
 
     def total_integral(self) -> complex:
         return gaussian_moment(self, (0, 0, 0, 0))
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """Exponent quadruple (a, b, c, d) for <X_A^a P_A^b X_B^c P_B^d>."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for e in (self.a, self.b, self.c, self.d):
-            if e < 0 or e > MAX_QUERY_EXPONENT:
-                raise ValueError(
-                    f"moment exponents must lie in 0..{MAX_QUERY_EXPONENT}"
-                )
-
-    @property
-    def exponents(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 def _double_factorial(n: int) -> int:
@@ -131,60 +90,45 @@ def _gauss_moment_1d(p: int, gamma: float) -> float:
     )
 
 
+def _moments(gamma: float, count: int) -> np.ndarray:
+    """Moment table [_gauss_moment_1d(p, gamma) for p < count]."""
+    return np.array([_gauss_moment_1d(p, gamma) for p in range(count)])
+
+
 def gaussian_moment(W: GaussianPolyWigner, query) -> complex:
-    """Exact integral of X_A^a P_A^b X_B^c P_B^d against W."""
-    if isinstance(query, MomentQuery):
-        exps = query.exponents
-    else:
-        exps = MomentQuery(*tuple(query)).exponents
-    moment_vectors = []
-    for axis in range(4):
-        size = W.coeffs.shape[axis]
-        gamma = W.widths[axis]
-        moment_vectors.append(
-            np.array([_gauss_moment_1d(p + exps[axis], gamma) for p in range(size)])
+    """Exact integral of X_A^a P_A^b X_B^c P_B^d against W, query = (a, b, c, d)."""
+    exps = tuple(query)
+    if len(exps) != 4 or not all(0 <= e <= MAX_QUERY_EXPONENT for e in exps):
+        raise ValueError(
+            f"a moment query is four exponents in 0..{MAX_QUERY_EXPONENT}, got {query}"
         )
-    return complex(
-        np.einsum(
-            "pqrs,p,q,r,s->",
-            W.coeffs,
-            moment_vectors[0],
-            moment_vectors[1],
-            moment_vectors[2],
-            moment_vectors[3],
-        )
-    )
+    vectors = [
+        _moments(gamma, size + e)[e:]
+        for gamma, size, e in zip(W.widths, W.coeffs.shape, exps)
+    ]
+    return complex(np.einsum("pqrs,p,q,r,s->", W.coeffs, *vectors))
 
 
 # ---------------------------------------------------------------------------
 # single-mode building blocks: Wigner transforms of |b><a| on {0,1}
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
 
-
-def _fock_pair_table(ket: int, bra: int) -> np.ndarray:
-    """2D (x_pow, p_pow) polynomial of the Wigner transform of |ket><bra|.
+def _fock_pair_tables() -> np.ndarray:
+    """T[a, b, x_pow, p_pow]: polynomial of the Wigner transform of |b><a|.
 
     All carry the unit Gaussian exp(-(X^2+P^2)); the polynomial parts are
     1/pi, sqrt(2)(X -+ iP)/pi and (-1 + 2X^2 + 2P^2)/pi.
     """
-    t = np.zeros((3, 3), dtype=complex)
-    if (ket, bra) == (0, 0):
-        t[0, 0] = 1.0 / math.pi
-    elif (ket, bra) == (1, 1):
-        t[0, 0] = -1.0 / math.pi
-        t[2, 0] = 2.0 / math.pi
-        t[0, 2] = 2.0 / math.pi
-    elif (ket, bra) == (1, 0):
-        t[1, 0] = _SQRT2 / math.pi
-        t[0, 1] = -1j * _SQRT2 / math.pi
-    elif (ket, bra) == (0, 1):
-        t[1, 0] = _SQRT2 / math.pi
-        t[0, 1] = 1j * _SQRT2 / math.pi
-    else:
-        raise ValueError("only photon numbers 0 and 1 are supported")
-    return t
+    t = np.zeros((2, 2, 3, 3), dtype=complex)
+    t[0, 0, 0, 0] = 1.0
+    t[1, 1, 0, 0], t[1, 1, 2, 0], t[1, 1, 0, 2] = -1.0, 2.0, 2.0
+    t[0, 1, 1, 0], t[0, 1, 0, 1] = math.sqrt(2.0), -1j * math.sqrt(2.0)
+    t[1, 0, 1, 0], t[1, 0, 0, 1] = math.sqrt(2.0), 1j * math.sqrt(2.0)
+    return t / math.pi
+
+
+_PAIR_TABLES = _fock_pair_tables()
 
 
 def initial_wigner() -> GaussianPolyWigner:
@@ -216,13 +160,9 @@ def squeeze_rescale(W: GaussianPolyWigner, r: float, sign: int = +1) -> Gaussian
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     lam = math.exp(sign * r)
-    xb_axis, pb_axis = MODE_AXES["B"]
-    c = np.array(W.coeffs, dtype=complex)
-    nx = c.shape[xb_axis]
-    npow = c.shape[pb_axis]
-    scale_x = lam ** np.arange(nx)
-    scale_p = (1.0 / lam) ** np.arange(npow)
-    c = c * scale_x[None, None, :, None] * scale_p[None, None, None, :]
+    xb_axis, pb_axis = MODE_AXES["B"]  # the last two axes
+    nx, npow = W.coeffs.shape[xb_axis], W.coeffs.shape[pb_axis]
+    c = W.coeffs * (lam ** np.arange(nx))[:, None] * (1.0 / lam) ** np.arange(npow)
     w = np.array(W.widths)
     w[xb_axis] *= lam**2
     w[pb_axis] /= lam**2
@@ -282,35 +222,20 @@ def loss_convolve(W: GaussianPolyWigner, eta: float, mode: str = "B") -> Gaussia
     return GaussianPolyWigner(widths=w, coeffs=c)
 
 
-def _multiply_mode_tables(
-    W: GaussianPolyWigner, table_a: np.ndarray, table_b: np.ndarray
-) -> GaussianPolyWigner:
-    """Multiply W by per-mode polynomials carrying unit Gaussians."""
-    da, dbp = table_a.shape
-    dc, dd = table_b.shape
-    base = W.coeffs
-    shape = (
-        base.shape[0] + da - 1,
-        base.shape[1] + dbp - 1,
-        base.shape[2] + dc - 1,
-        base.shape[3] + dd - 1,
-    )
-    out = np.zeros(shape, dtype=complex)
-    for i in range(da):
-        for j in range(dbp):
-            ca = table_a[i, j]
-            if ca == 0:
-                continue
-            for k in range(dc):
-                for l in range(dd):
-                    cb = table_b[k, l]
-                    if cb == 0:
-                        continue
-                    out[i : i + base.shape[0], j : j + base.shape[1],
-                        k : k + base.shape[2], l : l + base.shape[3]] += (
-                        ca * cb * base
-                    )
-    return GaussianPolyWigner(widths=W.widths + 1.0, coeffs=out)
+def _mode_kernel(W: GaussianPolyWigner, mode: str) -> np.ndarray:
+    """K[a, b, p, q]: integral of X^p P^q times the |b><a| table of ``mode``.
+
+    Multiplying by a pair table adds 1 to each width, so the integrals are
+    the pair polynomials contracted with Hankel tables of the moments at
+    width + 1.
+    """
+    hankel = [
+        _moments(W.widths[axis] + 1.0, W.coeffs.shape[axis] + 2)[
+            np.add.outer(np.arange(W.coeffs.shape[axis]), np.arange(3))
+        ]
+        for axis in MODE_AXES[mode]
+    ]
+    return np.einsum("abij,pi,qj->abpq", _PAIR_TABLES, *hankel)
 
 
 def extract_projected(W: GaussianPolyWigner) -> ProjectedDensityMatrix:
@@ -322,18 +247,10 @@ def extract_projected(W: GaussianPolyWigner) -> ProjectedDensityMatrix:
     d = +1/2.  All sixteen positions are returned so the zero structure can
     be audited.
     """
-    m = np.zeros((4, 4), dtype=complex)
-    for row in range(4):
-        a_A, a_B = divmod(row, 2)
-        for col in range(4):
-            b_A, b_B = divmod(col, 2)
-            product = _multiply_mode_tables(
-                W, _fock_pair_table(b_A, a_A), _fock_pair_table(b_B, a_B)
-            )
-            m[row, col] = (2.0 * math.pi) ** 2 * gaussian_moment(
-                product, (0, 0, 0, 0)
-            )
-    return ProjectedDensityMatrix(m)
+    block = np.einsum(
+        "pqrs,xzpq,ywrs->xyzw", W.coeffs, _mode_kernel(W, "A"), _mode_kernel(W, "B")
+    )
+    return ProjectedDensityMatrix((2.0 * math.pi) ** 2 * block.reshape(4, 4))
 
 
 def single_mode_wigner_section(
@@ -373,7 +290,8 @@ def _marginalize_mode(W: GaussianPolyWigner, mode: str, theta: float):
     Writing X = x cos(t) - s sin(t), P = x sin(t) + s cos(t) and integrating
     over the conjugate coordinate s gives, for each (X-power, P-power) pair,
     a polynomial in x; the shared Gaussian becomes exp(-c_hat x^2).
-    Returns (table of coefficient vectors, c_hat).
+    Returns (T, c_hat) with T[X-power, P-power] the zero-padded coefficient
+    vector of that polynomial in x.
     """
     x_axis, p_axis = MODE_AXES[mode]
     gx, gp = W.widths[x_axis], W.widths[p_axis]
@@ -384,10 +302,9 @@ def _marginalize_mode(W: GaussianPolyWigner, mode: str, theta: float):
     c_hat = c - b**2 / (4.0 * a)
     deg_x = W.coeffs.shape[x_axis] - 1
     deg_p = W.coeffs.shape[p_axis] - 1
-    tables = {}
+    tables = np.zeros((deg_x + 1, deg_p + 1, deg_x + deg_p + 1))
     for alpha in range(deg_x + 1):
         for beta in range(deg_p + 1):
-            poly = np.zeros(alpha + beta + 1, dtype=float)
             for i1 in range(alpha + 1):
                 for i2 in range(beta + 1):
                     pref = (
@@ -415,8 +332,7 @@ def _marginalize_mode(W: GaussianPolyWigner, mode: str, theta: float):
                             * (-b / (2.0 * a)) ** (m - j)
                             * g_j
                         )
-                        poly[base_pow + (m - j)] += coeff
-            tables[(alpha, beta)] = poly
+                        tables[alpha, beta, base_pow + (m - j)] += coeff
     return tables, c_hat
 
 
@@ -429,30 +345,13 @@ def rotated_quadrature_pdf(W: GaussianPolyWigner, theta_a: float, theta_b: float
     """
     tab_a, chat_a = _marginalize_mode(W, "A", theta_a)
     tab_b, chat_b = _marginalize_mode(W, "B", theta_b)
-    da = W.coeffs.shape[0] + W.coeffs.shape[1] - 1
-    db = W.coeffs.shape[2] + W.coeffs.shape[3] - 1
-    R = np.zeros((da, db), dtype=complex)
-    for p in range(W.coeffs.shape[0]):
-        for q in range(W.coeffs.shape[1]):
-            for r in range(W.coeffs.shape[2]):
-                for s in range(W.coeffs.shape[3]):
-                    cval = W.coeffs[p, q, r, s]
-                    if cval == 0:
-                        continue
-                    pa = tab_a[(p, q)]
-                    pb = tab_b[(r, s)]
-                    R[: len(pa), : len(pb)] += cval * np.outer(pa, pb)
+    R = np.einsum("pqrs,pqi,rsj->ij", W.coeffs, tab_a, tab_b)
 
     def pdf(x_a, x_b):
-        x_a = np.asarray(x_a, dtype=float)
-        x_b = np.asarray(x_b, dtype=float)
-        xa, xb = np.broadcast_arrays(x_a, x_b)
-        acc = np.zeros(xa.shape, dtype=complex)
-        for i in range(R.shape[0]):
-            for j in range(R.shape[1]):
-                if R[i, j] != 0:
-                    acc += R[i, j] * xa**i * xb**j
-        out = acc * np.exp(-chat_a * xa**2 - chat_b * xb**2)
-        return out.real
+        xa, xb = np.broadcast_arrays(
+            np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+        )
+        poly = np.polynomial.polynomial.polyval2d(xa, xb, R)
+        return (poly * np.exp(-chat_a * xa**2 - chat_b * xb**2)).real
 
     return pdf

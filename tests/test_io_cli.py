@@ -78,6 +78,9 @@ class TestSimulate:
         assert code != 0
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
+        code, _, err = run_cli(capsys, "tomo", "--r", "0.5", "--seed", "-1")
+        assert code != 0
+        assert json.loads(err)["message"].startswith("seed must be")
 
     def test_missing_strength(self, capsys):
         code, _, err = run_cli(capsys, "simulate")
@@ -226,6 +229,27 @@ class TestFigCommands:
                 if float(r[cols["eta1"]]) == eta12
             }
             assert series[0.99] > series[0.95]
+
+    def test_grid_missing_key(self, capsys, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("eta_values = 0.99\n")
+        code, _, err = run_cli(
+            capsys, "fig3", "--grid-file", str(grid), "--outdir", str(tmp_path)
+        )
+        assert code != 0
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "n_values" in payload["message"]
+
+    def test_grid_unknown_key(self, capsys, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("n_values = 1, 10\neta_values = 0.99\neta_1 = 0.9\n")
+        code, _, err = run_cli(
+            capsys, "fig3", "--grid-file", str(grid), "--outdir", str(tmp_path)
+        )
+        assert code != 0
+        assert "eta_1" in json.loads(err)["message"]
+        assert not (tmp_path / "fig3_concurrence_success.csv").exists()
 
     def test_outdir_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MICROMACRO_OUTDIR", str(tmp_path))

@@ -10,12 +10,11 @@ from micromacro import (
     ExperimentConfig,
     amplified_mean_photons,
     branches_to_projected,
-    load_config,
     run,
     solve_r_for_n,
     sweep,
 )
-from micromacro.pipeline import config_from_mapping, parse_kv_text
+from micromacro.pipeline import parse_kv_text
 
 R_FOR_N100 = 2.6516400776387327  # asinh(sqrt(99.5/2)), mpmath
 
@@ -47,6 +46,12 @@ class TestConfig:
     def test_eta_range(self):
         with pytest.raises(ValueError):
             ExperimentConfig(r=1.0, eta=1.2).validate()
+
+    def test_seed_must_be_non_negative_integer(self):
+        for bad in (-1, 1.5, "3"):
+            with pytest.raises(ValueError, match="^seed must be"):
+                ExperimentConfig(r=1.0, seed=bad).validate()
+        ExperimentConfig(r=1.0, seed=np.int64(3)).validate()
 
     @pytest.mark.parametrize(
         "field", ["r", "target_n", "eta1", "eta", "eta2", "tail_tol"]
@@ -206,7 +211,7 @@ class TestConfigFiles:
             "tail_tol = 1e-11\n"
             "seed = 7\n"
         )
-        cfg = load_config(path)
+        cfg = ExperimentConfig.from_file(path)
         assert cfg.target_n == 100.0
         assert cfg.eta == 0.99
         assert cfg.engine == "both"
@@ -216,7 +221,7 @@ class TestConfigFiles:
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
-            config_from_mapping({"r": "1.0", "bogus": "2"})
+            ExperimentConfig.from_mapping({"r": "1.0", "bogus": "2"})
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
@@ -224,4 +229,4 @@ class TestConfigFiles:
 
     def test_bad_bool(self):
         with pytest.raises(ValueError):
-            config_from_mapping({"r": "1.0", "loss_on_a": "maybe"})
+            ExperimentConfig.from_mapping({"r": "1.0", "loss_on_a": "maybe"})

@@ -121,6 +121,7 @@ class TestRecordCsv:
         assert text.startswith("# schema: tomography-record v1")
         back = TomographyRecord.from_csv_text(text)
         assert back.seed == 5
+        assert back.config_snapshot == {"r": "0"}
         for field in ("theta_a", "theta_b", "x_a", "x_b"):
             assert np.abs(getattr(back, field) - getattr(rec, field)).max() < 5e-13
 

@@ -12,7 +12,6 @@ import pytest
 
 from micromacro import (
     GaussianPolyWigner,
-    MomentQuery,
     extract_projected,
     gaussian_moment,
     initial_wigner,
@@ -67,6 +66,23 @@ class TestInitialWigner:
         pts = rng.normal(size=(4, 50))
         vals = W.evaluate(*pts)
         assert np.abs(vals.imag).max() < 1e-10
+
+
+    def test_evaluate_matches_term_by_term_sum(self):
+        rng = np.random.default_rng(4)
+        shape = (3, 2, 3, 1)
+        W = GaussianPolyWigner(
+            widths=rng.uniform(0.5, 2.0, 4),
+            coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        )
+        xa, pa, xb, pb = rng.normal(size=(4, 6))
+        poly = sum(
+            W.coeffs[p, q, r, s] * xa**p * pa**q * xb**r * pb**s
+            for p, q, r, s in np.ndindex(shape)
+        )
+        expected = poly * np.exp(-W.widths @ np.stack([xa, pa, xb, pb]) ** 2)
+        got = W.evaluate(xa, pa, xb, pb)
+        assert np.abs(got - expected).max() < 1e-13 * np.abs(expected).max()
 
 
 class TestSqueezeRescale:
@@ -180,12 +196,13 @@ class TestMoments:
 
     def test_xa_second_moment(self):
         # mixture of vacuum (1/2) and one photon (3/2) in arm A
-        val = gaussian_moment(initial_wigner(), MomentQuery(2, 0, 0, 0))
+        val = gaussian_moment(initial_wigner(), (2, 0, 0, 0))
         assert val.real == pytest.approx(1.0, abs=1e-12)
 
     def test_unsupported_degree(self):
-        with pytest.raises(ValueError):
-            gaussian_moment(initial_wigner(), (7, 0, 0, 0))
+        for exponent in (7, -1):
+            with pytest.raises(ValueError):
+                gaussian_moment(initial_wigner(), (exponent, 0, 0, 0))
 
 
 class TestExtraction:
@@ -210,6 +227,47 @@ class TestExtraction:
         W = loss_convolve(squeeze_rescale(initial_wigner(), 1.2, +1), 0.9)
         rho = extract_projected(W)
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+
+
+    def test_against_gauss_hermite_oracle(self):
+        # <a|rho|b> = (2 pi)^2 * integral of W times the Wigner transforms of
+        # |b_A><a_A| and |b_B><a_B|; 8 Gauss-Hermite nodes per axis integrate
+        # these degree <= 4 polynomials exactly.  Random complex coefficients
+        # make every element distinct, so index or conjugation slips show.
+        rng = np.random.default_rng(5)
+        W = GaussianPolyWigner(
+            widths=rng.uniform(0.2, 3.0, 4),
+            coeffs=rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3)),
+        )
+        nodes, wts = np.polynomial.hermite.hermgauss(8)
+        scale = np.sqrt(W.widths + 1.0)
+        grid = np.meshgrid(*(nodes / s for s in scale), indexing="ij")
+        weight = np.einsum("i,j,k,l->ijkl", wts, wts, wts, wts) / np.prod(scale)
+        poly = W.evaluate(*grid) * np.exp(
+            sum(w * g**2 for w, g in zip(W.widths, grid))
+        )
+
+        def transform(ket, bra, x, p):
+            return {
+                (0, 0): np.ones_like(x),
+                (1, 1): 2.0 * x**2 + 2.0 * p**2 - 1.0,
+                (1, 0): math.sqrt(2.0) * (x - 1j * p),
+                (0, 1): math.sqrt(2.0) * (x + 1j * p),
+            }[(ket, bra)] / math.pi
+
+        expected = np.empty((4, 4), dtype=complex)
+        for row in range(4):
+            a_A, a_B = divmod(row, 2)
+            for col in range(4):
+                b_A, b_B = divmod(col, 2)
+                f = (
+                    poly
+                    * transform(b_A, a_A, grid[0], grid[1])
+                    * transform(b_B, a_B, grid[2], grid[3])
+                )
+                expected[row, col] = (2.0 * math.pi) ** 2 * np.sum(f * weight)
+        got = extract_projected(W).matrix
+        assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 class TestWignerSections:
