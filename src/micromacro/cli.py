@@ -52,17 +52,22 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _merge_config(args) -> pl.ExperimentConfig:
-    cfg = pl.ExperimentConfig()
+    # the file may leave the strength to the flags, so its fields are checked
+    # only once merged
+    fields = {}
     if args.config:
-        cfg = pl.ExperimentConfig.from_file(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            fields = pl._config_fields(pl.parse_kv_text(fh.read()))
+    cfg = pl.ExperimentConfig(**fields)
+    # a strength flag replaces the file's strength, whichever of r / n it set
+    if args.r is not None:
+        cfg = replace(cfg, r=args.r, target_n=None)
+    if args.n is not None:
+        cfg = replace(cfg, target_n=args.n, r=None)
     flags = {
         name: getattr(args, name, None)
         for name in ("eta1", "eta", "eta2", "engine", "loss_on_a", "tail_tol", "seed")
     }
-    if args.r is not None:
-        flags.update(r=args.r, target_n=None)
-    if args.n is not None:
-        flags.update(target_n=args.n, r=None)
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     if cfg.r is None and cfg.target_n is None:
         raise ValueError("one of --r / --n (or a config file setting) is required")
@@ -144,23 +149,31 @@ def cmd_fig2(args) -> int:
     return 0
 
 
-def _load_grid(path_or_none, default_name, required, optional) -> dict[str, str]:
-    """Grid file entries, checked against the keys the figure reads."""
+# Grid-file schema per figure: key -> default text, None where the key is required.
+_FIG3_GRID = {
+    "n_values": None, "eta_values": None, "eta1": "1.0", "eta2": "1.0",
+    "engine": "phase_space",
+}
+_FIG4_GRID = {
+    "eta_values": None, "eta12_values": None, "n": "100.0", "engine": "phase_space",
+}
+
+
+def _load_grid(path_or_none, default_name, schema) -> dict[str, str]:
+    """Grid file entries checked against ``schema``, with its defaults filled in."""
     if path_or_none:
         with open(path_or_none, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = resources.files("micromacro.configs").joinpath(default_name).read_text()
     grid = pl.parse_kv_text(text)
-    for key in required:
-        if key not in grid:
+    for key, default in schema.items():
+        if default is None and key not in grid:
             raise ValueError(f"grid file lacks the required key {key!r}")
-    unknown = sorted(set(grid) - set(required) - set(optional))
+    unknown = sorted(set(grid) - set(schema))
     if unknown:
-        raise ValueError(
-            f"unknown grid key(s) {unknown}; allowed: {required + optional}"
-        )
-    return grid
+        raise ValueError(f"unknown grid key(s) {unknown}; allowed: {list(schema)}")
+    return {**schema, **grid}
 
 
 def _float_list(text: str) -> list[float]:
@@ -182,14 +195,9 @@ def _write_figure(args, name, base, axis, values, eta_values, filename) -> int:
 
 
 def cmd_fig3(args) -> int:
-    grid = _load_grid(
-        args.grid_file, "fig3_grid.cfg",
-        ("n_values", "eta_values"), ("eta1", "eta2", "engine"),
-    )
+    grid = _load_grid(args.grid_file, "fig3_grid.cfg", _FIG3_GRID)
     base = pl.ExperimentConfig(
-        eta1=float(grid.get("eta1", 1.0)),
-        eta2=float(grid.get("eta2", 1.0)),
-        engine=grid.get("engine", "phase_space"),
+        eta1=float(grid["eta1"]), eta2=float(grid["eta2"]), engine=grid["engine"]
     )
     return _write_figure(
         args, "fig3", base, "n", _float_list(grid["n_values"]),
@@ -198,12 +206,8 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    grid = _load_grid(
-        args.grid_file, "fig4_grid.cfg", ("eta_values", "eta12_values"), ("n", "engine")
-    )
-    base = pl.ExperimentConfig(
-        target_n=float(grid.get("n", 100.0)), engine=grid.get("engine", "phase_space")
-    )
+    grid = _load_grid(args.grid_file, "fig4_grid.cfg", _FIG4_GRID)
+    base = pl.ExperimentConfig(target_n=float(grid["n"]), engine=grid["engine"])
     return _write_figure(
         args, "fig4", base, "eta12", _float_list(grid["eta12_values"]),
         _float_list(grid["eta_values"]), "fig4_concurrence_vs_outer_loss.csv",

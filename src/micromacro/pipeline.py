@@ -100,23 +100,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        """Config from string key/value pairs, keyed as in config files.
-
-        Unset fields keep their defaults.  The result is not validated, so a
-        file may leave the strength to command-line flags; ``run`` and
-        ``validate()`` check it.
-        """
-        kwargs = {}
-        for key, text in mapping.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown configuration key {key!r}")
-            typ = _CONFIG_KEYS[key]
-            if typ is bool:
-                value = _parse_bool(text)
-            else:
-                value = typ(text)
-            kwargs["target_n" if key == "n" else key] = value
-        return cls(**kwargs)
+        """Validated config from string key/value pairs, keyed as in config files."""
+        cfg = cls(**_config_fields(mapping))
+        cfg.validate()
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -379,6 +366,19 @@ _CONFIG_KEYS = {
     "tail_tol": float,
     "seed": int,
 }
+
+
+def _config_fields(mapping: dict[str, str]) -> dict:
+    """Typed ``ExperimentConfig`` fields from config-file strings, not validated."""
+    fields = {}
+    for key, text in mapping.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown configuration key {key!r}")
+        typ = _CONFIG_KEYS[key]
+        fields["target_n" if key == "n" else key] = (
+            _parse_bool(text) if typ is bool else typ(text)
+        )
+    return fields
 
 
 def parse_kv_text(text: str) -> dict[str, str]:

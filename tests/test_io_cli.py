@@ -109,6 +109,18 @@ class TestSimulate:
         )
         assert json.loads(out)["concurrence"] == 1.0
 
+    def test_strength_flag_replaces_file_strength(self, capsys, tmp_path):
+        by_n = tmp_path / "by_n.cfg"
+        by_n.write_text("n = 100\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(by_n), "--r", "0.5")
+        assert code == 0
+        assert json.loads(out)["r"] == 0.5
+        by_r = tmp_path / "by_r.cfg"
+        by_r.write_text("r = 1\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(by_r), "--n", "10")
+        assert code == 0
+        assert json.loads(out)["n"] == pytest.approx(10.0)
+
     def test_golden_json_r0(self, capsys):
         # all-unitary r=0 point: every physics field is known exactly
         code, out, _ = run_cli(

@@ -223,6 +223,11 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping({"r": "1.0", "bogus": "2"})
 
+    def test_validates(self):
+        for mapping in ({"r": "1.0", "eta": "1.5"}, {"r": "1.0", "seed": "-1"}, {}):
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_mapping(mapping)
+
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             parse_kv_text("r 1.0")
