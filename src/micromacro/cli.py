@@ -216,6 +216,8 @@ def cmd_fig4(args) -> int:
 
 def cmd_tomo(args) -> int:
     cfg = _merge_config(args)
+    requested_engine = cfg.engine
+    # the homodyne sampler draws from the Fock branch ensemble
     if cfg.engine in ("auto", "phase_space"):
         cfg = replace(cfg, engine="fock")
     result = pl.run(cfg, keep_state=True)
@@ -257,6 +259,8 @@ def cmd_tomo(args) -> int:
         "n_samples": args.samples,
         "seed": cfg.seed,
         "phase_policy": args.phase_policy,
+        "engine": "fock",
+        "requested_engine": requested_engine,
         "elements": elements,
         "concurrence": {
             "estimate": c_est,

@@ -188,16 +188,17 @@ def concurrence_xstate(
     return ConcurrenceResult(value=value, branch=branch, eigenvalues=lam)
 
 
-def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Wootters construction on a Hermitian 4x4 ``m``, without checks.
+def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wootters construction on Hermitian 4x4 matrices ``m`` (..., 4, 4),
+    without checks.
 
     Returns the raw eigenvalues mu of m (sy (x) sy) m^* (sy (x) sy), the
     decreasing lambda_i = sqrt(max(Re mu_i, 0)), and the concurrence
-    max(0, lambda_0 - lambda_1 - lambda_2 - lambda_3).
+    max(0, lambda_0 - lambda_1 - lambda_2 - lambda_3), all over the leading axes.
     """
     mu = np.linalg.eigvals(m @ (_SIGMA_YY @ m.conj() @ _SIGMA_YY))
-    lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)))[::-1]
-    return mu, lam, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)), axis=-1)[..., ::-1]
+    return mu, lam, np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_general(

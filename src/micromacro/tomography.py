@@ -3,18 +3,21 @@
 Joint quadrature statistics p(x_A, x_B | theta_A, theta_B) are available in
 closed form from two independent routes: phase-rotated Hermite-function
 wavefunctions summed over the branch mixture, or marginalization of the
-Wigner function along the rotated conjugate quadratures.  Sampling uses
-inverse-CDF draws of x_A followed by the branch-resolved conditional of x_B,
-both on adaptive grids; blocks of samples get independent child seeds from
-the master seed, so records are reproducible bit-for-bit.
+Wigner function along the rotated conjugate quadratures.  Sampling draws
+x_A from its exact marginal, a branch given x_A, then x_B from that branch's
+pure conditional.  Each CDF is a per-draw linear combination of cumulative
+tables built once per call (three basis rows for x_A, running branch sums,
+pair products phi_m phi_n for x_B), inverted by bisection over the grid
+index.  Blocks of samples get independent child seeds from the master seed,
+so records are reproducible bit-for-bit.
 
 Reconstruction maps quadrature samples to Fock-basis matrix elements with
 pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
-uniform on [0, pi).  The kernels are computed from the displacement-operator
-integral f_mn(x) = (1/2) int |l| e^{ilx} <m|e^{-ilX}|n> dl, which converges
-absolutely through the e^{-l^2/4} factor.  Elements of the {0,1}x{0,1} block
-are estimated without cutoff bias; diagonal populations up to a cutoff per
-mode are reported as diagnostics.
+uniform on [0, pi).  The kernels are the closed forms of Leonhardt, Paul &
+D'Ariano (PRA 52, 4899, 1995) and Richter (Phys. Lett. A 211, 327, 1996),
+built on the Dawson function.  Elements of the {0,1}x{0,1} block are
+estimated without cutoff bias; diagonal populations up to a cutoff per mode
+are reported as diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import dawsn
 
 from . import wigner as wg
 from .entanglement import ProjectedDensityMatrix, spin_flip_concurrence
@@ -42,10 +45,17 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     three-term recurrence is stable for the supports used here.
     """
     x = np.asarray(x, dtype=float)
+    phi0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    return _ladder(phi0, math.sqrt(2.0) * x * phi0, x, n_max)
+
+
+def _ladder(first, second, x: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows 0..n_max of the normalized recurrence from rows 0 and 1:
+    out[n+1] = (sqrt2 x out[n] - sqrt(n) out[n-1]) / sqrt(n+1) for n >= 1."""
     out = np.empty((n_max + 1,) + x.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out[0] = first
     if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
+        out[1] = second
     for n in range(1, n_max):
         out[n + 1] = (
             math.sqrt(2.0 / (n + 1)) * x * out[n]
@@ -185,44 +195,48 @@ def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _invert_cdf_rows(
-    cdf: np.ndarray, grid: np.ndarray, quantiles: np.ndarray
-) -> np.ndarray:
-    """Per-row inverse-transform draws from tabulated monotone CDFs.
+def _bisect(below, size: int, n: int) -> np.ndarray:
+    """Per draw, the last index i < n at which the monotone predicate
+    ``below(i)`` holds (index 0 is taken to hold): a searchsorted whose
+    values are evaluated only at the probed indices."""
+    lo = np.zeros(size, dtype=np.intp)
+    hi = np.full(size, n, dtype=np.intp)
+    for _ in range((n - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = below(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
 
-    Rows are normalized, offset by 2*row so the flattened array stays
-    sorted, inverted with one searchsorted, and refined by linear
-    interpolation inside the bin.  ``cdf`` is consumed in place.
-    """
-    n_rows, n_pts = cdf.shape
-    tot = cdf[:, -1]
-    if np.any(tot <= 0):
+
+def _draw(coef, table, stride: int, grid, u, density) -> np.ndarray:
+    """Inverse-transform draws from the trapezoid CDFs coef[s] . table[i].
+
+    ``table`` holds cumulative trapezoids of basis densities at grid points
+    0, stride, 2 stride, ... and the last.  The bin holding quantile u[s] is
+    found by bisection and filled with the exact trapezoid of
+    ``density(points)`` (stride + 1 values per draw); the draw is the linear
+    step inside its grid cell."""
+    total = coef @ table[-1]
+    if np.any(total <= 0):
         raise ValueError("density rows must carry positive mass")
-    cdf /= tot[:, None]
-    offsets = 2.0 * np.arange(n_rows)
-    cdf += offsets[:, None]
-    pos = np.searchsorted(cdf.ravel(), quantiles + offsets, side="right") - 1
-    j = np.clip(pos - np.arange(n_rows) * n_pts, 0, n_pts - 2)
-    rows = np.arange(n_rows)
-    c0 = cdf[rows, j] - offsets
-    c1 = cdf[rows, j + 1] - offsets
-    denom = np.where(c1 - c0 > 0, c1 - c0, 1.0)
-    t = np.clip((quantiles - c0) / denom, 0.0, 1.0)
-    return grid[j] + t * (grid[1] - grid[0])
+    target = u * total
 
+    def cdf(i):
+        return np.einsum("sp,sp->s", coef, table[i])
 
-def _inverse_cdf_rows(
-    pdf_rows: np.ndarray, grid: np.ndarray, quantiles: np.ndarray
-) -> np.ndarray:
-    """Inverse-transform draws from tabulated densities (one row per draw)."""
-    pdf_rows = np.clip(pdf_rows, 0.0, None)
-    return _invert_cdf_rows(
-        _cumulative_trapezoid(pdf_rows, grid[1] - grid[0]), grid, quantiles
-    )
-
-
-def _phase_grid(n_phases: int = 6) -> np.ndarray:
-    return np.pi * np.arange(n_phases) / n_phases
+    c = _bisect(lambda i: cdf(i) <= target, len(u), len(table) - 1)
+    last = len(grid) - 1
+    h = grid[1] - grid[0]
+    pts = np.minimum(stride * c[:, None] + np.arange(stride + 1), last)
+    pdf = density(pts)
+    seg = 0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h
+    cum = np.cumsum(np.column_stack([cdf(c), seg]), axis=1)
+    # cells past the last grid point (clamped in the final bin) are never chosen
+    k = np.sum((cum[:, 1:-1] <= target[:, None]) & (pts[:, 1:-1] < last), axis=1)
+    c0, c1 = np.take_along_axis(cum, np.stack([k, k + 1], axis=1), axis=1).T
+    t = np.clip((target - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
+    return grid[np.take_along_axis(pts, k[:, None], axis=1)[:, 0]] + t * h
 
 
 def sample(
@@ -247,28 +261,24 @@ def sample(
         raise ValueError("empty branch ensemble")
     support = state.support(1e-12)
     m_dim = support + 1
-    weights = state.weights
     u_mat = np.ascontiguousarray(state.U[:m_dim].T)  # (K, M)
     v_mat = np.ascontiguousarray(state.V[:m_dim].T)
-    nu = np.einsum("km,km->k", u_mat.conj(), u_mat).real
-    nv = np.einsum("km,km->k", v_mat.conj(), v_mat).real
     zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)  # <v_k|u_k>
-    a_tot = float(np.sum(weights * nu))
-    b_tot = float(np.sum(weights * nv))
-    zeta_tot = complex(np.sum(weights * zeta))
+    # branch k carries w_k ||f1 u_k + f0 v_k||^2, the features
+    # (phi1^2, phi0^2, 2 phi0 phi1 cos th_A, 2 phi0 phi1 sin th_A) of a draw
+    # times w_k (|u_k|^2, |v_k|^2, Re zeta_k, Im zeta_k); row k + 1 of
+    # branch_cum sums those weights over branches 0..k
+    norms = [np.einsum("km,km->k", s.conj(), s).real for s in (u_mat, v_mat)]
+    weighted = state.weights[:, None] * np.stack(norms + [zeta.real, zeta.imag], 1)
+    branch_cum = np.cumsum(np.vstack([np.zeros(4), weighted]), axis=0)
+    a_tot, b_tot, zeta_re, zeta_im = branch_cum[-1]
 
-    # arm A: the two-level marginal is a fixed 3-basis combination, so its
-    # cumulative trapezoids are precomputed once
-    xa_lim = 8.0
-    grid_a = np.linspace(-xa_lim, xa_lim, 1601)
-    h_a = grid_a[1] - grid_a[0]
-    phi_a_grid = hermite_functions(1, grid_a)
-    cum_a = _cumulative_trapezoid(
-        np.stack(
-            [phi_a_grid[1] ** 2, phi_a_grid[0] ** 2, phi_a_grid[0] * phi_a_grid[1]]
-        ),
-        h_a,
-    )
+    # arm A: the two-level marginal a phi1^2 + b phi0^2 + 2 c phi0 phi1 is a
+    # 3-basis combination with c = Re(e^{-i th_A} zeta)
+    grid_a = np.linspace(-8.0, 8.0, 1601)
+    phi0, phi1 = hermite_functions(1, grid_a)
+    basis_a = np.stack([phi1**2, phi0**2, 2.0 * phi0 * phi1])
+    cum_a = _cumulative_trapezoid(basis_a, grid_a[1] - grid_a[0]).T  # (G, 3)
 
     # arm B grid: resolve the fastest oscillation of phi_support
     xb_lim = math.sqrt(2.0 * support + 1.0) + 5.0
@@ -276,12 +286,32 @@ def sample(
     n_b = int(min(max(2 * xb_lim / h_target, 601), 6001))
     grid_b = np.linspace(-xb_lim, xb_lim, n_b)
     phi_b_grid = hermite_functions(support, grid_b)  # (M, G)
+    phi_b_rows = np.ascontiguousarray(phi_b_grid.T)  # (G, M)
+
+    # arm B: the cumulative trapezoid of |c.phi|^2 is sum_{m<=n} R_mn T_mn with
+    # R_mn = Re(c_m^* c_n) and T_mn that of phi_m phi_n (doubled off the
+    # diagonal), kept at every stride-th grid point and the last; the stride
+    # is the smallest power of two that keeps the table within the
+    # 2 * block * G floats one block's tabulated complex amplitudes would take
+    n_pairs = m_dim * (m_dim + 1) // 2
+    stride = 1
+    while n_pairs * ((n_b - 2) // stride + 2) > 2 * _BLOCK_SIZE * n_b:
+        stride *= 2
+    coarse = np.append(np.arange(0, n_b - 1, stride), n_b - 1)
+    doubled = np.append(1.0, np.full(support, 2.0))[:, None]
+    row_start = np.cumsum([0] + [m_dim - m for m in range(m_dim)])
+    cum_b = np.concatenate([  # (len(coarse), n_pairs), pairs (m, n >= m) row-major
+        _cumulative_trapezoid(
+            phi_b_grid[m] * phi_b_grid[m:] * doubled[: m_dim - m], grid_b[1] - grid_b[0]
+        )[:, coarse].T
+        for m in range(m_dim)
+    ], axis=1)
 
     n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    grid_phases = _phase_grid()
+    grid_phases = np.pi * np.arange(6) / 6
 
-    cols = {"theta_a": [], "theta_b": [], "x_a": [], "x_b": []}
+    blocks = []
     for blk in range(n_blocks):
         rng = np.random.default_rng(children[blk])
         count = min(_BLOCK_SIZE, n_samples - blk * _BLOCK_SIZE)
@@ -289,53 +319,51 @@ def sample(
             th_a = rng.uniform(0.0, np.pi, count)
             th_b = rng.uniform(0.0, np.pi, count)
         else:
-            start = blk * _BLOCK_SIZE
-            idx = np.arange(start, start + count)
+            idx = blk * _BLOCK_SIZE + np.arange(count)
             th_a = grid_phases[(idx // len(grid_phases)) % len(grid_phases)]
             th_b = grid_phases[idx % len(grid_phases)]
+        cos_a, sin_a = np.cos(th_a), np.sin(th_a)
 
-        # x_A from  a*phi1^2 + b*phi0^2 + 2 Re(e^{-i th} zeta) phi0 phi1
-        c_s = np.real(np.exp(-1j * th_a) * zeta_tot)
-        cdf_a = (a_tot * cum_a[0] + b_tot * cum_a[1]) + 2.0 * np.outer(
-            c_s, cum_a[2]
-        )
-        x_a = _invert_cdf_rows(cdf_a, grid_a, rng.random(count))
+        # x_A from its marginal, then a branch from w_k ||c_k||^2 given x_A
+        coef_a = np.tile([a_tot, b_tot, 0.0], (count, 1))
+        coef_a[:, 2] = cos_a * zeta_re + sin_a * zeta_im
+        x_a = _draw(coef_a, cum_a, 1, grid_a, rng.random(count),
+                    lambda pts: np.einsum("psk,sp->sk", basis_a[:, pts], coef_a))
 
         phi_a = hermite_functions(1, x_a)
-        f1 = np.exp(-1j * th_a) * phi_a[1]
-        f0 = phi_a[0]
-
-        # choose a branch from w_k ||c_k||^2, then x_B from the pure conditional
-        qk = weights[:, None] * (
-            np.abs(f1[None, :]) ** 2 * nu[:, None]
-            + f0[None, :] ** 2 * nv[:, None]
-            + 2.0 * (f0 * phi_a[1])[None, :] * np.real(
-                np.exp(-1j * th_a)[None, :] * zeta[:, None]
-            )
+        cross = 2.0 * phi_a[0] * phi_a[1]
+        feats = np.stack(
+            [phi_a[1] ** 2, phi_a[0] ** 2, cross * cos_a, cross * sin_a], axis=1
         )
-        qk = np.clip(qk, 0.0, None)
-        cum_k = np.cumsum(qk, axis=0)
-        draws = rng.random(count) * cum_k[-1]
-        k_sel = np.argmax(cum_k >= draws[None, :], axis=0)
+        draws = rng.random(count) * (feats @ branch_cum[-1])
+        k_sel = _bisect(
+            lambda k: np.einsum("sf,sf->s", feats, branch_cum[k]) < draws,
+            count, len(state),
+        )
 
-        coeff = f1[:, None] * u_mat[k_sel] + f0[:, None] * v_mat[k_sel]  # (S, M)
-        coeff = coeff * np.exp(-1j * np.outer(th_b, np.arange(m_dim)))
-        amp = coeff @ phi_b_grid  # (S, G)
-        pdf_b = amp.real**2 + amp.imag**2
-        x_b = _inverse_cdf_rows(pdf_b, grid_b, rng.random(count))
+        # x_B from the chosen branch's pure conditional |c.phi(x)|^2
+        coeff = (
+            ((cos_a - 1j * sin_a) * phi_a[1])[:, None] * u_mat[k_sel]
+            + phi_a[0][:, None] * v_mat[k_sel]
+        ) * np.exp(-1j * np.outer(th_b, np.arange(m_dim)))  # (S, M)
+        re, im = coeff.real, coeff.imag
+        r_mat = np.empty((count, n_pairs))
+        for m in range(m_dim):
+            r_mat[:, row_start[m]:row_start[m + 1]] = (
+                re[:, m:m + 1] * re[:, m:] + im[:, m:m + 1] * im[:, m:]
+            )
 
-        cols["theta_a"].append(th_a)
-        cols["theta_b"].append(th_b)
-        cols["x_a"].append(x_a)
-        cols["x_b"].append(x_b)
+        def density_b(pts):
+            amp = np.einsum("sm,skm->sk", coeff, phi_b_rows[pts])
+            return amp.real**2 + amp.imag**2
+
+        x_b = _draw(r_mat, cum_b, stride, grid_b, rng.random(count), density_b)
+
+        blocks.append((th_a, th_b, x_a, x_b))
 
     return TomographyRecord(
-        theta_a=np.concatenate(cols["theta_a"]),
-        theta_b=np.concatenate(cols["theta_b"]),
-        x_a=np.concatenate(cols["x_a"]),
-        x_b=np.concatenate(cols["x_b"]),
-        seed=seed,
-        config_snapshot=dict(config_snapshot or {}),
+        *(np.concatenate(col) for col in zip(*blocks)),
+        seed=seed, config_snapshot=dict(config_snapshot or {}),
     )
 
 
@@ -347,35 +375,26 @@ def sample(
 def pattern_function(m: int, n: int, x) -> np.ndarray:
     """Tomographic kernel f_mn: rho_mn = E[f_mn(x) e^{i(m-n)theta}].
 
-    f_mn(x) = (1/2) int |l| e^{ilx} <m|e^{-ilX}|n> dl with the matrix element
-    sqrt(n!/m!) (-il/sqrt2)^{m-n} e^{-l^2/4} L_n^{(m-n)}(l^2/2); the result is
-    real and symmetric in (m, n).  Evaluated by Gauss-Legendre quadrature on
-    the half line (the integrand decays like e^{-l^2/4}).
+    For m >= n, f_mn = d/dx[psi_m phi_n] (Leonhardt et al., Richter) with the
+    irregular oscillator solutions psi_0 = 2 pi^(1/4) e^{x^2/2} D(x), D the
+    Dawson function, psi_1 = a^dag psi_0 and the phi_n recurrence above.
+    d/dx = (a - a^dag)/sqrt2, with a psi_0 = sqrt2 pi^(1/4) e^{x^2/2} and
+    a psi_m = sqrt(m) psi_{m-1} for m >= 1.  The e^{+-x^2/2} factors of psi
+    and phi cancel in the product and are never formed.  The result is real
+    and symmetric in (m, n).
     """
     if m < n:
         m, n = n, m
     x = np.asarray(x, dtype=float)
-    nodes, wts = np.polynomial.legendre.leggauss(800)
-    lam_max = 14.0
-    lam = 0.5 * lam_max * (nodes + 1.0)
-    wts = 0.5 * lam_max * wts
-    diff = m - n
-    pref = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-    g = (
-        pref
-        * (lam / math.sqrt(2.0)) ** diff
-        * np.exp(-(lam**2) / 4.0)
-        * eval_genlaguerre(n, diff, lam**2 / 2.0)
-    )
-    # fold the (-i)^diff phase with e^{+-ilx}: even diff -> cos, odd -> sin
-    phase_factor = (-1j) ** diff
-    if diff % 2 == 0:
-        kernel = np.cos(np.outer(x, lam))
-        sign = phase_factor.real  # (-1)^(diff/2)
-    else:
-        kernel = np.sin(np.outer(x, lam))
-        sign = (1j * phase_factor).real  # from i * (-i)^diff
-    return sign * kernel @ (lam * g * wts)
+    daw = dawsn(x)
+    # psi_k pi^(-1/4) e^{-x^2/2} and phi_k pi^(1/4) e^{x^2/2}
+    psi = _ladder(2.0 * daw, math.sqrt(2.0) * (2.0 * x * daw - 1.0), x, m + 1)
+    phi = _ladder(1.0, math.sqrt(2.0) * x, x, n + 1)
+    lowered_psi = math.sqrt(m) * psi[m - 1] if m else math.sqrt(2.0)
+    lowered_phi = math.sqrt(n) * phi[n - 1] if n else 0.0
+    d_psi = lowered_psi - math.sqrt(m + 1) * psi[m + 1]
+    d_phi = lowered_phi - math.sqrt(n + 1) * phi[n + 1]
+    return (d_psi * phi[n] + psi[m] * d_phi) / math.sqrt(2.0)
 
 
 @dataclass
@@ -392,10 +411,6 @@ class ReconstructionResult:
     n_cut: int
 
 
-def _distinct_phase_count(theta: np.ndarray) -> int:
-    return len(np.unique(np.round(theta, 9)))
-
-
 def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResult:
     """Unbiased pattern-function estimates of the {0,1}x{0,1} block.
 
@@ -407,72 +422,54 @@ def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResul
     raise IllConditionedError.
     """
     needed = n_cut + 1
-    if _distinct_phase_count(record.theta_a) < needed or _distinct_phase_count(
-        record.theta_b
-    ) < needed:
+    phases = (record.theta_a, record.theta_b)
+    if min(len(np.unique(np.round(theta, 9))) for theta in phases) < needed:
         raise IllConditionedError(
             f"need at least {needed} distinct phases per arm to separate "
             f"harmonics up to order {n_cut}"
         )
     n_samples = len(record)
-    x_lim = max(
-        10.0, abs(record.x_a).max() + 1.0, abs(record.x_b).max() + 1.0
-    )
-    x_grid = np.linspace(-x_lim, x_lim, 4001)
-    pairs = [(m, n) for m in range(n_cut + 1) for n in range(m + 1)]
-    tables = {pair: pattern_function(pair[0], pair[1], x_grid) for pair in pairs}
+    # each kernel the block and the populations need, once per arm at the samples
+    pairs = {(1, 0)} | {(m, m) for m in range(n_cut + 1)}
+    arms = []
+    for x, theta in ((record.x_a, record.theta_a), (record.x_b, record.theta_b)):
+        kernels = {pair: pattern_function(*pair, x) for pair in pairs}
+        harmonic = np.exp(1j * theta)
+        kernels[0, 1] = kernels[1, 0] * harmonic.conj()
+        kernels[1, 0] = kernels[1, 0] * harmonic
+        arms.append(kernels)
+    kern_a, kern_b = arms
 
-    def kernel_values(m, n, x, theta):
-        key = (m, n) if m >= n else (n, m)
-        f = np.interp(x, x_grid, tables[key])
-        return f * np.exp(1j * (m - n) * theta)
-
-    est = np.zeros((4, 4), dtype=complex)
-    se_re = np.zeros((4, 4))
-    se_im = np.zeros((4, 4))
     root_n = math.sqrt(n_samples)
-    for row in range(4):
-        m_a, m_b = divmod(row, 2)
-        for col in range(row, 4):
-            n_a, n_b = divmod(col, 2)
-            z = kernel_values(m_a, n_a, record.x_a, record.theta_a) * kernel_values(
-                m_b, n_b, record.x_b, record.theta_b
-            )
-            est[row, col] = z.mean()
-            se_re[row, col] = z.real.std(ddof=1) / root_n
-            se_im[row, col] = z.imag.std(ddof=1) / root_n
-            if col != row:
-                est[col, row] = np.conj(est[row, col])
-                se_re[col, row] = se_re[row, col]
-                se_im[col, row] = se_im[row, col]
+    # all 16 elements: the lower triangle is the exact conjugate of the upper
+    z = np.stack([
+        kern_a[row // 2, col // 2] * kern_b[row % 2, col % 2]
+        for row in range(4) for col in range(4)
+    ])
+    est = z.mean(axis=1).reshape(4, 4)
+    se_re = (z.real.std(axis=1, ddof=1) / root_n).reshape(4, 4)
+    se_im = (z.imag.std(axis=1, ddof=1) / root_n).reshape(4, 4)
 
-    ext = np.zeros((n_cut + 1, n_cut + 1))
-    ext_se = np.zeros_like(ext)
-    for m in range(n_cut + 1):
-        fa = np.interp(record.x_a, x_grid, tables[(m, m)])
-        for n in range(n_cut + 1):
-            fb = np.interp(record.x_b, x_grid, tables[(n, n)])
-            z = fa * fb
-            ext[m, n] = z.mean()
-            ext_se[m, n] = z.std(ddof=1) / root_n
+    pops = np.stack([kern_a[m, m] for m in range(n_cut + 1)])[:, None] * np.stack(
+        [kern_b[n, n] for n in range(n_cut + 1)]
+    )
+    ext = pops.mean(axis=-1)
+    ext_se = pops.std(axis=-1, ddof=1) / root_n
 
     return ReconstructionResult(
-        block=ProjectedDensityMatrix(est),
-        estimate=est,
-        se_real=se_re,
-        se_imag=se_im,
-        extended_populations=ext,
-        extended_se=ext_se,
-        n_samples=n_samples,
-        n_cut=n_cut,
+        block=ProjectedDensityMatrix(est), estimate=est, se_real=se_re, se_imag=se_im,
+        extended_populations=ext, extended_se=ext_se, n_samples=n_samples, n_cut=n_cut,
     )
 
 
-def _block_concurrence(matrix: np.ndarray) -> float:
-    """Concurrence of a noisy estimate: Hermitian part, normalized; 0 at trace <= 0."""
-    m = 0.5 * (matrix + matrix.conj().T)
-    t = np.trace(m).real
-    return spin_flip_concurrence(m / t)[2] if t > 0 else 0.0
+def _block_concurrence(matrices: np.ndarray) -> np.ndarray:
+    """Concurrence of noisy (..., 4, 4) estimates: Hermitian part, normalized;
+    0 where the trace is <= 0."""
+    m = 0.5 * (matrices + np.swapaxes(matrices.conj(), -1, -2))
+    t = np.trace(m, axis1=-2, axis2=-1).real
+    positive = t > 0
+    values = spin_flip_concurrence(m / np.where(positive, t, 1.0)[..., None, None])[2]
+    return np.where(positive, values, 0.0)
 
 
 def concurrence_with_uncertainty(
@@ -484,12 +481,10 @@ def concurrence_with_uncertainty(
     re-imposed per draw); the spread of the resulting concurrence values is
     the quoted uncertainty.
     """
-    central = _block_concurrence(recon.estimate)
-    rng = np.random.default_rng(seed)
-    values = np.empty(n_draws)
-    for i in range(n_draws):
-        noise = rng.normal(scale=recon.se_real) + 1j * rng.normal(
-            scale=recon.se_imag
-        )
-        values[i] = _block_concurrence(recon.estimate + noise)
+    central = float(_block_concurrence(recon.estimate))
+    # per draw 16 real then 16 imaginary parts, the order of per-draw
+    # rng.normal(scale=se) calls
+    noise = np.random.default_rng(seed).standard_normal((n_draws, 2, 4, 4))
+    noise = noise[:, 0] * recon.se_real + 1j * (noise[:, 1] * recon.se_imag)
+    values = _block_concurrence(recon.estimate + noise)
     return central, float(values.std(ddof=1))

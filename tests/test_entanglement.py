@@ -16,6 +16,7 @@ from micromacro import (
     success_probability,
     xstate_formula,
 )
+from micromacro.entanglement import spin_flip_concurrence
 
 
 def bell_matrix() -> ProjectedDensityMatrix:
@@ -62,6 +63,20 @@ class TestConcurrenceGeneral:
             assert res.value == pytest.approx(
                 max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), abs=1e-10
             )
+
+    def test_spin_flip_core_on_a_stack(self):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+        stack = g @ g.conj().swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+        stack[4:] = [random_physical_xstate(rng).matrix for _ in range(4)]
+        mu, lam, values = spin_flip_concurrence(stack)
+        assert values.shape == (8,) and np.any(values > 0)
+        for i, m in enumerate(stack):
+            mu_i, lam_i, value_i = spin_flip_concurrence(m)
+            assert np.array_equal(mu[i], mu_i)
+            assert np.array_equal(lam[i], lam_i)
+            assert values[i] == value_i
 
     def test_zero_trace_raises(self):
         rho = ProjectedDensityMatrix(np.zeros((4, 4)))

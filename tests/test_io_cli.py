@@ -299,13 +299,16 @@ class TestTomoCommand:
         assert len(rec) == 500
         assert rec.seed == 1
 
-    def test_rejects_phase_space_engine(self, capsys, tmp_path):
-        code, _, err = run_cli(
+    def test_phase_space_request_runs_fock(self, capsys, tmp_path):
+        code, _, _ = run_cli(
             capsys,
             "tomo", "--r", "0", "--samples", "10", "--engine", "phase_space",
             "--outdir", str(tmp_path),
         )
-        assert code == 0  # auto-promoted to fock
+        assert code == 0
+        payload = json.loads((tmp_path / "tomo_reconstruction.json").read_text())
+        assert payload["engine"] == "fock"
+        assert payload["requested_engine"] == "phase_space"
 
 
 class TestOracleCheck:

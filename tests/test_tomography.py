@@ -2,14 +2,19 @@
 
 The pattern-function estimator is validated against an exact-integration
 oracle: for known pure states the phase-and-quadrature average of the kernel
-must reproduce each density-matrix element.  Sampler statistics are checked
-at the five-sigma level with fixed seeds.
+must reproduce each density-matrix element.  The closed-form kernels are
+checked against the quadrature of their defining integral, and the
+table-driven sampler against a per-row tabulated inverse-CDF sampler on the
+same grids.  Sampler statistics are checked at the five-sigma level with
+fixed seeds.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import dawsn, eval_genlaguerre, gammaln
 
 from micromacro import (
     BranchEnsemble,
@@ -24,10 +29,127 @@ from micromacro import (
     run,
     sample,
 )
+from micromacro.entanglement import spin_flip_concurrence
 
 
 def _two_mode_vacuum() -> BranchEnsemble:
     return BranchEnsemble([1.0], [[0.0], [0.0]], [[1.0], [0.0]])
+
+
+def _pipeline_state() -> BranchEnsemble:
+    """Kept Fock state at r = 1 with loss on both arms: 184 branches, support 14."""
+    cfg = ExperimentConfig(
+        r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock", seed=1
+    )
+    return run(cfg, keep_state=True).final_branches
+
+
+def _high_support_state() -> BranchEnsemble:
+    """One branch reaching photon number 95; from support 90 on, the sampler
+    keeps its pair table at every other grid point only."""
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=(2, 96, 1)) * np.exp(-np.arange(96) / 60.0)[:, None]
+    return BranchEnsemble([1.0], *(amps / np.linalg.norm(amps)))
+
+
+# ---------------------------------------------------------------------------
+# reference sampler: the per-row tabulated inverse CDF on the sampler's grids
+# ---------------------------------------------------------------------------
+
+
+def _ref_cumulative_trapezoid(values, h):
+    seg = 0.5 * (values[..., 1:] + values[..., :-1]) * h
+    out = np.zeros(values.shape)
+    np.cumsum(seg, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _ref_invert_cdf_rows(cdf, grid, quantiles):
+    """Per-row inverse-transform draws from tabulated monotone CDFs, each row
+    searched on its own (a flattened search over rows offset by 2 * row
+    loses about 12 bits of quantile precision by row 2047)."""
+    n_rows, n_pts = cdf.shape
+    tot = cdf[:, -1]
+    assert np.all(tot > 0)
+    cdf = cdf / tot[:, None]
+    pos = np.array([np.searchsorted(r, q, side="right") for r, q in zip(cdf, quantiles)])
+    j = np.clip(pos - 1, 0, n_pts - 2)
+    rows = np.arange(n_rows)
+    c0 = cdf[rows, j]
+    c1 = cdf[rows, j + 1]
+    denom = np.where(c1 - c0 > 0, c1 - c0, 1.0)
+    t = np.clip((quantiles - c0) / denom, 0.0, 1.0)
+    return grid[j] + t * (grid[1] - grid[0])
+
+
+def _reference_sample(state, n_samples, phase_policy, seed):
+    """The sampler with every density tabulated per draw: a (draws, grid)
+    CDF for x_A, a (branches, draws) cumulative sum for the branch choice and
+    a (draws, grid) complex amplitude table for x_B."""
+    support = state.support(1e-12)
+    m_dim = support + 1
+    weights = state.weights
+    u_mat = np.ascontiguousarray(state.U[:m_dim].T)
+    v_mat = np.ascontiguousarray(state.V[:m_dim].T)
+    nu = np.einsum("km,km->k", u_mat.conj(), u_mat).real
+    nv = np.einsum("km,km->k", v_mat.conj(), v_mat).real
+    zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)
+    a_tot = float(np.sum(weights * nu))
+    b_tot = float(np.sum(weights * nv))
+    zeta_tot = complex(np.sum(weights * zeta))
+
+    grid_a = np.linspace(-8.0, 8.0, 1601)
+    phi_a_grid = hermite_functions(1, grid_a)
+    cum_a = _ref_cumulative_trapezoid(
+        np.stack([phi_a_grid[1] ** 2, phi_a_grid[0] ** 2, phi_a_grid[0] * phi_a_grid[1]]),
+        grid_a[1] - grid_a[0],
+    )
+    xb_lim = math.sqrt(2.0 * support + 1.0) + 5.0
+    h_target = math.pi / (math.sqrt(2.0 * support + 1.0) * 18.0)
+    n_b = int(min(max(2 * xb_lim / h_target, 601), 6001))
+    grid_b = np.linspace(-xb_lim, xb_lim, n_b)
+    phi_b_grid = hermite_functions(support, grid_b)
+
+    block = 2048
+    n_blocks = (n_samples + block - 1) // block
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    grid_phases = np.pi * np.arange(6) / 6
+    cols = []
+    for blk in range(n_blocks):
+        rng = np.random.default_rng(children[blk])
+        count = min(block, n_samples - blk * block)
+        if phase_policy == "uniform_random":
+            th_a = rng.uniform(0.0, np.pi, count)
+            th_b = rng.uniform(0.0, np.pi, count)
+        else:
+            idx = np.arange(blk * block, blk * block + count)
+            th_a = grid_phases[(idx // 6) % 6]
+            th_b = grid_phases[idx % 6]
+        c_s = np.real(np.exp(-1j * th_a) * zeta_tot)
+        cdf_a = (a_tot * cum_a[0] + b_tot * cum_a[1]) + 2.0 * np.outer(c_s, cum_a[2])
+        x_a = _ref_invert_cdf_rows(cdf_a, grid_a, rng.random(count))
+
+        phi_a = hermite_functions(1, x_a)
+        f1 = np.exp(-1j * th_a) * phi_a[1]
+        f0 = phi_a[0]
+        qk = weights[:, None] * (
+            np.abs(f1[None, :]) ** 2 * nu[:, None]
+            + f0[None, :] ** 2 * nv[:, None]
+            + 2.0 * (f0 * phi_a[1])[None, :]
+            * np.real(np.exp(-1j * th_a)[None, :] * zeta[:, None])
+        )
+        cum_k = np.cumsum(np.clip(qk, 0.0, None), axis=0)
+        draws = rng.random(count) * cum_k[-1]
+        k_sel = np.argmax(cum_k >= draws[None, :], axis=0)
+
+        coeff = f1[:, None] * u_mat[k_sel] + f0[:, None] * v_mat[k_sel]
+        coeff = coeff * np.exp(-1j * np.outer(th_b, np.arange(m_dim)))
+        amp = coeff @ phi_b_grid
+        pdf_b = amp.real**2 + amp.imag**2
+        cdf_b = _ref_cumulative_trapezoid(pdf_b, grid_b[1] - grid_b[0])
+        x_b = _ref_invert_cdf_rows(cdf_b, grid_b, rng.random(count))
+        cols.append((th_a, th_b, x_a, x_b))
+    return [np.concatenate(c) for c in zip(*cols)]
 
 
 class TestHermiteFunctions:
@@ -107,6 +229,32 @@ class TestSampler:
         se = np.std(prod) / math.sqrt(mask.sum())
         assert abs(prod.mean() - 0.5) < 5 * se
 
+    @pytest.mark.parametrize("phase_policy", ["uniform_random", "fixed_grid"])
+    @pytest.mark.parametrize("state_name", ["bell", "vacuum", "pipeline"])
+    def test_matches_tabulated_reference(self, bell_branch, state_name, phase_policy):
+        state = {
+            "bell": lambda: bell_branch,
+            "vacuum": _two_mode_vacuum,
+            "pipeline": _pipeline_state,
+        }[state_name]()
+        n_samples = 2 * 2048 + 300  # two full blocks and a partial one
+        rec = sample(state, n_samples, phase_policy=phase_policy, seed=7)
+        th_a, th_b, x_a, x_b = _reference_sample(state, n_samples, phase_policy, 7)
+        assert np.array_equal(rec.theta_a, th_a)
+        assert np.array_equal(rec.theta_b, th_b)
+        assert np.abs(rec.x_a - x_a).max() < 1e-7
+        assert np.abs(rec.x_b - x_b).max() < 1e-7
+
+    def test_coarse_pair_table_matches_tabulated_reference(self):
+        state = _high_support_state()
+        assert state.support(1e-12) == 95
+        rec = sample(state, 400, seed=3)
+        th_a, th_b, x_a, x_b = _reference_sample(state, 400, "uniform_random", 3)
+        assert np.array_equal(rec.theta_a, th_a)
+        assert np.array_equal(rec.theta_b, th_b)
+        assert np.abs(rec.x_a - x_a).max() < 1e-7
+        assert np.abs(rec.x_b - x_b).max() < 1e-7
+
     def test_invalid_args(self, bell_branch):
         with pytest.raises(ValueError):
             sample(bell_branch, 0, seed=1)
@@ -159,7 +307,49 @@ def _pattern_oracle(psi: np.ndarray, m: int, n: int) -> complex:
     return total / len(thetas)
 
 
+def _quadrature_pattern_function(m, n, x):
+    """f_mn(x) = (1/2) int |l| e^{ilx} <m|e^{-ilX}|n> dl by 800-node
+    Gauss-Legendre quadrature on [0, 14], where e^{-l^2/4} has decayed."""
+    if m < n:
+        m, n = n, m
+    nodes, wts = np.polynomial.legendre.leggauss(800)
+    lam = 7.0 * (nodes + 1.0)
+    wts = 7.0 * wts
+    diff = m - n
+    pref = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+    g = (
+        pref * (lam / math.sqrt(2.0)) ** diff * np.exp(-(lam**2) / 4.0)
+        * eval_genlaguerre(n, diff, lam**2 / 2.0)
+    )
+    # fold the (-i)^diff phase with e^{+-ilx}: even diff -> cos, odd -> sin
+    if diff % 2 == 0:
+        kernel, sign = np.cos(np.outer(x, lam)), ((-1j) ** diff).real
+    else:
+        kernel, sign = np.sin(np.outer(x, lam)), (1j * (-1j) ** diff).real
+    return sign * kernel @ (lam * g * wts)
+
+
 class TestPatternFunctions:
+    def test_closed_form_matches_quadrature(self):
+        x = np.linspace(-12.0, 12.0, 2401)
+        for m in range(4):
+            for n in range(m + 1):
+                ref = _quadrature_pattern_function(m, n, x)
+                assert np.abs(pattern_function(m, n, x) - ref).max() < 1e-8, (m, n)
+
+    def test_finite_far_out(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in range(4):
+                for n in range(m + 1):
+                    assert np.all(np.isfinite(pattern_function(m, n, x)))
+
+    def test_vacuum_kernel_closed_form(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        expected = 2.0 - 4.0 * x * dawsn(x)
+        assert np.abs(pattern_function(0, 0, x) - expected).max() < 1e-13
+
     def test_symmetric_in_indices(self):
         x = np.linspace(-4, 4, 101)
         assert np.abs(pattern_function(2, 1, x) - pattern_function(1, 2, x)).max() == 0
@@ -232,6 +422,24 @@ class TestReconstruct:
         se_small = reconstruct(rec_small).se_real[2, 1]
         se_large = reconstruct(rec_large).se_real[2, 1]
         assert se_small / se_large == pytest.approx(math.sqrt(10.0), rel=0.3)
+
+    def test_error_bar_matches_per_draw_loop(self, bell_branch):
+        recon = reconstruct(sample(bell_branch, 20000, seed=13))
+
+        def block_concurrence(matrix):
+            m = 0.5 * (matrix + matrix.conj().T)
+            t = np.trace(m).real
+            return spin_flip_concurrence(m / t)[2] if t > 0 else 0.0
+
+        rng = np.random.default_rng(1234)
+        values = np.empty(2000)
+        for i in range(2000):
+            noise = rng.normal(scale=recon.se_real) + 1j * rng.normal(
+                scale=recon.se_imag
+            )
+            values[i] = block_concurrence(recon.estimate + noise)
+        expected = (block_concurrence(recon.estimate), values.std(ddof=1))
+        assert concurrence_with_uncertainty(recon) == expected
 
     def test_concurrence_with_uncertainty(self, bell_branch):
         rec = sample(bell_branch, 60000, seed=13)
