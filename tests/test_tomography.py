@@ -31,6 +31,8 @@ from micromacro import (
 )
 from micromacro.entanglement import spin_flip_concurrence
 
+from conftest import random_branches
+
 
 def _two_mode_vacuum() -> BranchEnsemble:
     return BranchEnsemble([1.0], [[0.0], [0.0]], [[1.0], [0.0]])
@@ -42,6 +44,12 @@ def _pipeline_state() -> BranchEnsemble:
         r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock", seed=1
     )
     return run(cfg, keep_state=True).final_branches
+
+
+def _complex_state() -> BranchEnsemble:
+    """Complex branches (Im <v|u> != 0), one of them with zero weight."""
+    ens = random_branches(np.random.default_rng(3), count=5, dim=8)
+    return BranchEnsemble([0.3, 0.0, 0.2, 0.4, 0.1], ens.U, ens.V)
 
 
 def _high_support_state() -> BranchEnsemble:
@@ -230,12 +238,13 @@ class TestSampler:
         assert abs(prod.mean() - 0.5) < 5 * se
 
     @pytest.mark.parametrize("phase_policy", ["uniform_random", "fixed_grid"])
-    @pytest.mark.parametrize("state_name", ["bell", "vacuum", "pipeline"])
+    @pytest.mark.parametrize("state_name", ["bell", "vacuum", "pipeline", "complex"])
     def test_matches_tabulated_reference(self, bell_branch, state_name, phase_policy):
         state = {
             "bell": lambda: bell_branch,
             "vacuum": _two_mode_vacuum,
             "pipeline": _pipeline_state,
+            "complex": _complex_state,
         }[state_name]()
         n_samples = 2 * 2048 + 300  # two full blocks and a partial one
         rec = sample(state, n_samples, phase_policy=phase_policy, seed=7)
