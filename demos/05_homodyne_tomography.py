@@ -27,8 +27,8 @@ n_samples = 200_000
 record = sample(res.final_branches, n_samples, seed=cfg.seed)
 print(f"\nsampled {n_samples} joint quadratures at uniform random phases")
 print(f"first record rows (theta_a, theta_b, x_a, x_b):")
-for s in list(record.samples())[:3]:
-    print(f"  {s.theta_a:8.4f} {s.theta_b:8.4f} {s.x_a:8.4f} {s.x_b:8.4f}")
+for row in zip(record.theta_a[:3], record.theta_b[:3], record.x_a[:3], record.x_b[:3]):
+    print("  " + " ".join(f"{v:8.4f}" for v in row))
 record.to_csv("tomography_record.csv")
 print("wrote tomography_record.csv")
 

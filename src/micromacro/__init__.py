@@ -10,7 +10,6 @@ final state.
 """
 
 from .entanglement import (
-    ConcurrenceResult,
     ProjectedDensityMatrix,
     concurrence_general,
     concurrence_xstate,
@@ -25,7 +24,6 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    DEFAULT_TAIL_TOL,
     BranchEnsemble,
     SqueezePropagator,
     apply_squeeze,
@@ -40,16 +38,12 @@ from .fock import (
 )
 from .pipeline import (
     ExperimentConfig,
-    ExperimentResult,
-    SweepEntry,
     amplified_mean_photons,
     run,
     solve_r_for_n,
     sweep,
 )
 from .tomography import (
-    QuadratureSample,
-    ReconstructionResult,
     TomographyRecord,
     concurrence_with_uncertainty,
     hermite_functions,
@@ -73,19 +67,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchEnsemble",
-    "ConcurrenceResult",
-    "DEFAULT_TAIL_TOL",
     "ExperimentConfig",
-    "ExperimentResult",
     "GaussianPolyWigner",
     "IllConditionedError",
     "MicroMacroError",
     "NotAnXStateError",
     "ProjectedDensityMatrix",
-    "QuadratureSample",
-    "ReconstructionResult",
     "SqueezePropagator",
-    "SweepEntry",
     "TailToleranceError",
     "TomographyRecord",
     "TruncationError",

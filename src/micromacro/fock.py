@@ -128,24 +128,12 @@ class BranchEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _log_probs_squeezed_vacuum(r: float, k: np.ndarray) -> np.ndarray:
-    # p_{2k} = (2k)! / (4^k (k!)^2) * tanh^{2k} r / cosh r
+def _log_probs_squeezed(r: float, k: np.ndarray, parity: int) -> np.ndarray:
+    # p_{2k+parity} = (2k+parity)! / (4^k (k!)^2) * tanh^{2k} r / cosh^{1+2 parity} r
     lt = math.log(math.tanh(r))
     return (
-        -math.log(math.cosh(r))
-        + gammaln(2 * k + 1)
-        - 2 * k * math.log(2.0)
-        - 2 * gammaln(k + 1)
-        + 2 * k * lt
-    )
-
-
-def _log_probs_squeezed_one(r: float, k: np.ndarray) -> np.ndarray:
-    # p_{2k+1} = (2k+1)! / (4^k (k!)^2) * tanh^{2k} r / cosh^3 r
-    lt = math.log(math.tanh(r))
-    return (
-        -3.0 * math.log(math.cosh(r))
-        + gammaln(2 * k + 2)
+        -(1 + 2 * parity) * math.log(math.cosh(r))
+        + gammaln(2 * k + 1 + parity)
         - 2 * k * math.log(2.0)
         - 2 * gammaln(k + 1)
         + 2 * k * lt
@@ -182,9 +170,9 @@ def choose_n_max(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     log_tol = math.log(tail_tol)
     # term ratio: q for the vacuum family, q*(1 + 1/(2k+2)) for the one family
     top = k[-1]
-    tails0 = _log_suffix_tails(_log_probs_squeezed_vacuum(r, k), log_q)
+    tails0 = _log_suffix_tails(_log_probs_squeezed(r, k, 0), log_q)
     tails1 = _log_suffix_tails(
-        _log_probs_squeezed_one(r, k),
+        _log_probs_squeezed(r, k, 1),
         log_q + math.log1p(1.0 / (2.0 * top + 2.0)),
     )
     ok = np.nonzero((tails0 < log_tol) & (tails1 < log_tol))[0]
@@ -196,7 +184,8 @@ def choose_n_max(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return int(2 * ok[0] + 2)
 
 
-def _squeezed_family(r, n_max, tail_tol, parity, log_probs, name) -> np.ndarray:
+def _squeezed_family(r, n_max, tail_tol, parity) -> np.ndarray:
+    name = ("squeezed vacuum", "squeezed one")[parity]
     if r < 0:
         raise ValueError("r must be >= 0")
     if n_max is None:
@@ -208,7 +197,7 @@ def _squeezed_family(r, n_max, tail_tol, parity, log_probs, name) -> np.ndarray:
         amps[parity] = 1.0
         return amps
     k = np.arange(0, (n_max - parity) // 2 + 1)
-    logp = log_probs(r, k)
+    logp = _log_probs_squeezed(r, k, parity)
     tail = 1.0 - float(np.sum(np.exp(logp)))
     if tail > tail_tol:
         raise TruncationError(
@@ -228,9 +217,7 @@ def squeezed_vacuum(
     in log space with sign tracking.  An explicit ``n_max`` that cannot hold
     the tail below ``tail_tol`` raises TruncationError.
     """
-    return _squeezed_family(
-        r, n_max, tail_tol, 0, _log_probs_squeezed_vacuum, "squeezed vacuum"
-    )
+    return _squeezed_family(r, n_max, tail_tol, 0)
 
 
 def squeezed_one(
@@ -240,9 +227,7 @@ def squeezed_one(
 
     amps[2k+1] = cosh(r)^(-3/2) * sqrt((2k+1)!)/(2^k k!) * (-tanh r)^k.
     """
-    return _squeezed_family(
-        r, n_max, tail_tol, 1, _log_probs_squeezed_one, "squeezed one"
-    )
+    return _squeezed_family(r, n_max, tail_tol, 1)
 
 
 def mean_photon(amps: np.ndarray) -> float:

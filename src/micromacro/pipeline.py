@@ -196,7 +196,9 @@ def _run_fock(
     n_max = max(fk.choose_n_max(r, trunc_tol), 2)
     diag.n_max = n_max
     ens = _initial_ensemble(cfg.eta1, n_max)
-    if r > 0.0:
+    # without mid-stage loss the squeezer and its inverse cancel exactly
+    squeeze = r > 0.0 and cfg.eta < 1.0
+    if squeeze:
         prop = fk.get_propagator(r, n_max)
         ens = ens.squeezed(prop, +1)
     if cfg.eta < 1.0:
@@ -205,7 +207,7 @@ def _run_fock(
         diag.kraus_orders = expanded.kraus_orders
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
-    if r > 0.0:
+    if squeeze:
         ens = ens.squeezed(prop, -1)
     # crop at amplitude ~1e-9 so quantities linear in the amplitudes
     # (e.g. homodyne densities from the kept state) stay good to ~1e-8
@@ -234,14 +236,15 @@ def _run_phase_space(
     cfg: ExperimentConfig,
 ) -> tuple[ProjectedDensityMatrix, wg.GaussianPolyWigner]:
     r = cfg.resolved_r()
+    squeeze = r > 0.0 and cfg.eta < 1.0  # as in _run_fock
     W = wg.initial_wigner()
     if cfg.eta1 < 1.0:
         W = wg.loss_convolve(W, cfg.eta1, mode="B")
-    if r > 0.0:
+    if squeeze:
         W = wg.squeeze_rescale(W, r, sign=+1)
     if cfg.eta < 1.0:
         W = wg.loss_convolve(W, cfg.eta, mode="B")
-    if r > 0.0:
+    if squeeze:
         W = wg.squeeze_rescale(W, r, sign=-1)
     if cfg.eta2 < 1.0:
         W = wg.loss_convolve(W, cfg.eta2, mode="B")

@@ -64,16 +64,6 @@ def _ladder(first, second, x: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One joint homodyne outcome at local-oscillator phases (theta_a, theta_b)."""
-
-    theta_a: float
-    theta_b: float
-    x_a: float
-    x_b: float
-
-
 @dataclass
 class TomographyRecord:
     """Columnar sample record, reproducible from (seed, config snapshot)."""
@@ -92,10 +82,6 @@ class TomographyRecord:
 
     def __len__(self) -> int:
         return len(self.x_a)
-
-    def samples(self):
-        for ta, tb, xa, xb in zip(self.theta_a, self.theta_b, self.x_a, self.x_b):
-            yield QuadratureSample(ta, tb, xa, xb)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

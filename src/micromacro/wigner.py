@@ -8,9 +8,17 @@ and density-matrix extraction (Gaussian moment integrals) are all exact.
 Quadrature units put the vacuum variance at 1/2, i.e. the vacuum Wigner
 function is exp(-(X^2+P^2))/pi.
 
-The completed-square algebra below is written in terms of s = 1-eta and
-D = eta + (1-eta)*gamma, which cancels the 1/(1-eta) kernel normalization
-symbolically and stays well-conditioned for eta near 1.
+Each operation integrates a Gaussian variable out of a polynomial, and each
+is one contraction over three primitives built at import:
+
+- ``_normal_moments``: E[tau^k] of a centred normal, from a (k-1)!! table;
+- ``_binomial_table``: the coefficients of (a x + b tau)^p, from a C(p, i)
+  table;
+- ``_PAIR_TABLES``: the Wigner transforms of |b><a| on {0,1}.
+
+The completed-square algebra of the loss is written in terms of s = 1-eta
+and D = eta + (1-eta)*gamma, which cancels the 1/(1-eta) kernel
+normalization symbolically and stays well-conditioned for eta near 1.
 """
 
 from __future__ import annotations
@@ -26,6 +34,48 @@ from .entanglement import ProjectedDensityMatrix
 MODE_AXES = {"A": (0, 1), "B": (2, 3)}
 
 MAX_QUERY_EXPONENT = 6
+
+#: highest polynomial degree per variable a table may carry (the states of
+#: the pipeline stay at two)
+MAX_DEGREE = 4
+
+# Powers below _TABLE_SIZE cover every power an operation reads: a moment
+# query on a top-degree term, and the 2 * MAX_DEGREE of a homodyne marginal.
+_TABLE_SIZE = MAX_DEGREE + max(MAX_DEGREE, MAX_QUERY_EXPONENT) + 1
+_POWERS = np.arange(_TABLE_SIZE)
+_HALF_POWERS = (_POWERS // 2).astype(float)  # numpy raises floats to float powers faster
+
+# E[tau^k] of a unit-variance centred normal: (k-1)!! for even k, 0 for odd k
+_UNIT_MOMENTS = np.array(
+    [math.prod(range(k - 1, 0, -2)) if k % 2 == 0 else 0 for k in _POWERS.tolist()],
+    dtype=float,
+)
+
+
+def _binomial_coefficients() -> np.ndarray:
+    """C[p, i, p - i] = C(p, i): the coefficient of x^i tau^(p-i) in (x + tau)^p."""
+    p, i = np.tril_indices(_TABLE_SIZE)
+    table = np.zeros((_TABLE_SIZE,) * 3)
+    table[p, i, p - i] = [math.comb(n, k) for n, k in zip(p.tolist(), i.tolist())]
+    return table
+
+
+_BINOMIAL = _binomial_coefficients()
+
+# _SUM_INDEX[i, j, n] = 1 where i + j == n: it collects the powers of a
+# product, and _SUM_INDEX @ m is the Hankel table m[i + j]
+_SUM_INDEX = (np.add.outer(_POWERS, _POWERS)[:, :, None] == _POWERS).astype(float)
+
+
+def _normal_moments(var: float, count: int) -> np.ndarray:
+    """E[tau^k] for k < count, tau a centred normal of variance ``var``."""
+    return _UNIT_MOMENTS[:count] * var ** _HALF_POWERS[:count]
+
+
+def _binomial_table(a: float, b: float, deg: int) -> np.ndarray:
+    """B[p, i, k]: the coefficient of x^i tau^k in (a x + b tau)^p, p <= deg."""
+    pw = _POWERS[: deg + 1]
+    return _BINOMIAL[: deg + 1, : deg + 1, : deg + 1] * (a**pw)[:, None] * b**pw
 
 
 @dataclass(frozen=True)
@@ -50,6 +100,10 @@ class GaussianPolyWigner:
             raise ValueError("Gaussian widths must be strictly positive")
         if c.ndim != 4:
             raise ValueError("coefficient table must be four-dimensional")
+        if max(c.shape) > MAX_DEGREE + 1:
+            raise ValueError(
+                f"polynomial degree per variable is at most {MAX_DEGREE}, got {c.shape}"
+            )
         w.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "widths", w)
@@ -72,27 +126,9 @@ class GaussianPolyWigner:
         return gaussian_moment(self, (0, 0, 0, 0))
 
 
-def _double_factorial(n: int) -> int:
-    # (-1)!! = 1 by convention
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _gauss_moment_1d(p: int, gamma: float) -> float:
-    """integral of x^p exp(-gamma x^2) over the real line."""
-    if p % 2 == 1:
-        return 0.0
-    return _double_factorial(p - 1) / (2.0 * gamma) ** (p // 2) * math.sqrt(
-        math.pi / gamma
-    )
-
-
 def _moments(gamma: float, count: int) -> np.ndarray:
-    """Moment table [_gauss_moment_1d(p, gamma) for p < count]."""
-    return np.array([_gauss_moment_1d(p, gamma) for p in range(count)])
+    """Integrals of x^p exp(-gamma x^2) over the real line, p < count."""
+    return math.sqrt(math.pi / gamma) * _normal_moments(0.5 / gamma, count)
 
 
 def gaussian_moment(W: GaussianPolyWigner, query) -> complex:
@@ -130,24 +166,22 @@ def _fock_pair_tables() -> np.ndarray:
 
 _PAIR_TABLES = _fock_pair_tables()
 
+# the projector onto (|1>_A|0>_B + |0>_A|1>_B)/sqrt(2) is half the sum of
+# |x><y| over x, y in {10, 01}, and |x><y| transforms mode by mode
+_INITIAL_COEFFS = 0.5 * sum(
+    np.multiply.outer(_PAIR_TABLES[ya, xa], _PAIR_TABLES[yb, xb])
+    for xa, xb in ((1, 0), (0, 1))
+    for ya, yb in ((1, 0), (0, 1))
+)
+
 
 def initial_wigner() -> GaussianPolyWigner:
     """Wigner function of (|1>_A|0>_B + |0>_A|1>_B)/sqrt(2).
 
-    Expanding the four operator terms of the projector gives, inside the unit
-    Gaussian, [(2X_A^2 + 2P_A^2 - 1) + (2X_B^2 + 2P_B^2 - 1)
-    + 4 X_A X_B + 4 P_A P_B] / (2 pi^2).
+    Inside the unit Gaussian this is [(2X_A^2 + 2P_A^2 - 1)
+    + (2X_B^2 + 2P_B^2 - 1) + 4 X_A X_B + 4 P_A P_B] / (2 pi^2).
     """
-    c = np.zeros((3, 3, 3, 3), dtype=complex)
-    pref = 1.0 / (2.0 * math.pi**2)
-    c[0, 0, 0, 0] = -2.0 * pref
-    c[2, 0, 0, 0] = 2.0 * pref
-    c[0, 2, 0, 0] = 2.0 * pref
-    c[0, 0, 2, 0] = 2.0 * pref
-    c[0, 0, 0, 2] = 2.0 * pref
-    c[1, 0, 1, 0] = 4.0 * pref
-    c[0, 1, 0, 1] = 4.0 * pref
-    return GaussianPolyWigner(widths=np.ones(4), coeffs=c)
+    return GaussianPolyWigner(widths=np.ones(4), coeffs=_INITIAL_COEFFS)
 
 
 def squeeze_rescale(W: GaussianPolyWigner, r: float, sign: int = +1) -> GaussianPolyWigner:
@@ -169,36 +203,20 @@ def squeeze_rescale(W: GaussianPolyWigner, r: float, sign: int = +1) -> Gaussian
     return GaussianPolyWigner(widths=w, coeffs=c)
 
 
-def _convolve_axis(
-    coeffs: np.ndarray, gamma: float, axis: int, eta: float
-) -> tuple[np.ndarray, float]:
-    """Attenuation convolution along one quadrature axis.
+def _loss_matrix(gamma: float, size: int, eta: float) -> tuple[np.ndarray, float]:
+    """Attenuation convolution along one quadrature axis as a matrix.
 
     For an input term t^p exp(-gamma t^2), completing the square against the
-    kernel exp(-eta/(1-eta) (t - Y/sqrt(eta))^2)/sqrt(pi(1-eta)) gives
-    new width gamma/D and, for each even j <= p, a Y^(p-j) term weighted by
-    C(p, j) (j-1)!! (s/(2D))^(j/2) u^(p-j) / sqrt(D),
-    with s = 1-eta, D = eta + s*gamma, u = sqrt(eta)/D.
+    kernel exp(-eta/(1-eta) (t - Y/sqrt(eta))^2)/sqrt(pi(1-eta)) leaves
+    exp(-gamma/D Y^2) E[(u Y + tau)^p] / sqrt(D), with tau a centred normal
+    of variance s/(2D), s = 1-eta, D = eta + s*gamma and u = sqrt(eta)/D.
+    Returns M[i, p], the Y^i coefficient of that output, and the new width.
     """
     s = 1.0 - eta
     D = eta + s * gamma
-    u = math.sqrt(eta) / D
-    out = np.zeros_like(coeffs)
-    moved = np.moveaxis(coeffs, axis, 0)
-    out_moved = np.moveaxis(out, axis, 0)
-    pmax = coeffs.shape[axis] - 1
-    for p in range(pmax + 1):
-        for j in range(0, p + 1, 2):
-            q = p - j
-            factor = (
-                math.comb(p, j)
-                * _double_factorial(j - 1)
-                * (s / (2.0 * D)) ** (j // 2)
-                * u**q
-                / math.sqrt(D)
-            )
-            out_moved[q] += factor * moved[p]
-    return out, gamma / D
+    binom = _binomial_table(math.sqrt(eta) / D, 1.0, size - 1)
+    M = binom @ _normal_moments(s / (2.0 * D), size) / math.sqrt(D)
+    return M.T, gamma / D
 
 
 def loss_convolve(W: GaussianPolyWigner, eta: float, mode: str = "B") -> GaussianPolyWigner:
@@ -215,11 +233,13 @@ def loss_convolve(W: GaussianPolyWigner, eta: float, mode: str = "B") -> Gaussia
     if mode not in MODE_AXES:
         raise ValueError("mode must be 'A' or 'B'")
     x_axis, p_axis = MODE_AXES[mode]
-    c = np.array(W.coeffs, dtype=complex)
     w = np.array(W.widths)
-    c, w[x_axis] = _convolve_axis(c, w[x_axis], x_axis, eta)
-    c, w[p_axis] = _convolve_axis(c, w[p_axis], p_axis, eta)
-    return GaussianPolyWigner(widths=w, coeffs=c)
+    mx, w[x_axis] = _loss_matrix(w[x_axis], W.coeffs.shape[x_axis], eta)
+    mp, w[p_axis] = _loss_matrix(w[p_axis], W.coeffs.shape[p_axis], eta)
+    # the mode's two axes last, so both matrices act by one matmul each side
+    order = (2, 3, 0, 1) if mode == "A" else (0, 1, 2, 3)
+    c = mx @ W.coeffs.transpose(order) @ mp.T
+    return GaussianPolyWigner(widths=w, coeffs=c.transpose(order))
 
 
 def _mode_kernel(W: GaussianPolyWigner, mode: str) -> np.ndarray:
@@ -230,9 +250,8 @@ def _mode_kernel(W: GaussianPolyWigner, mode: str) -> np.ndarray:
     width + 1.
     """
     hankel = [
-        _moments(W.widths[axis] + 1.0, W.coeffs.shape[axis] + 2)[
-            np.add.outer(np.arange(W.coeffs.shape[axis]), np.arange(3))
-        ]
+        _SUM_INDEX[: W.coeffs.shape[axis], :3, : W.coeffs.shape[axis] + 2]
+        @ _moments(W.widths[axis] + 1.0, W.coeffs.shape[axis] + 2)
         for axis in MODE_AXES[mode]
     ]
     return np.einsum("abij,pi,qj->abpq", _PAIR_TABLES, *hankel)
@@ -268,15 +287,11 @@ def single_mode_wigner_section(
         raise ValueError("state_id must be 'S0' or 'S1'")
     if axis not in ("x", "p"):
         raise ValueError("axis must be 'x' or 'p'")
-    e2r = math.exp(2.0 * r)
-    if axis == "x":
-        x2, p2 = e2r * pts**2, np.zeros_like(pts)
-    else:
-        x2, p2 = np.zeros_like(pts), pts**2 / e2r
-    gauss = np.exp(-x2 - p2) / math.pi
-    if key == "S0":
-        return gauss
-    return (-1.0 + 2.0 * x2 + 2.0 * p2) * gauss
+    # S(r) maps the |k><k| Wigner function W_k(X, P) to W_k(e^r x, e^-r p)
+    zero = np.zeros_like(pts)
+    x, p = (math.exp(r) * pts, zero) if axis == "x" else (zero, math.exp(-r) * pts)
+    table = _PAIR_TABLES[int(key[1]), int(key[1])].real
+    return np.polynomial.polynomial.polyval2d(x, p, table) * np.exp(-(x**2) - p**2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,41 +314,17 @@ def _marginalize_mode(W: GaussianPolyWigner, mode: str, theta: float):
     a = gx * st**2 + gp * ct**2
     b = 2.0 * st * ct * (gp - gx)
     c = gx * ct**2 + gp * st**2
-    c_hat = c - b**2 / (4.0 * a)
+    # a s^2 + b x s = a tau^2 - b^2 x^2 / (4a) with s = tau - shift * x, so
+    # X = (ct + st shift) x - st tau and P = (st - ct shift) x + ct tau
+    shift = b / (2.0 * a)
     deg_x = W.coeffs.shape[x_axis] - 1
     deg_p = W.coeffs.shape[p_axis] - 1
-    tables = np.zeros((deg_x + 1, deg_p + 1, deg_x + deg_p + 1))
-    for alpha in range(deg_x + 1):
-        for beta in range(deg_p + 1):
-            for i1 in range(alpha + 1):
-                for i2 in range(beta + 1):
-                    pref = (
-                        math.comb(alpha, i1)
-                        * ct**i1
-                        * (-st) ** (alpha - i1)
-                        * math.comb(beta, i2)
-                        * st**i2
-                        * ct ** (beta - i2)
-                    )
-                    if pref == 0.0:
-                        continue
-                    m = (alpha - i1) + (beta - i2)
-                    base_pow = i1 + i2
-                    # integral of s^m exp(-a s^2 - b x s) ds, x-dependence expanded
-                    for j in range(0, m + 1, 2):
-                        g_j = (
-                            _double_factorial(j - 1)
-                            / (2.0 * a) ** (j // 2)
-                            * math.sqrt(math.pi / a)
-                        )
-                        coeff = (
-                            pref
-                            * math.comb(m, j)
-                            * (-b / (2.0 * a)) ** (m - j)
-                            * g_j
-                        )
-                        tables[alpha, beta, base_pow + (m - j)] += coeff
-    return tables, c_hat
+    bx = _binomial_table(ct + st * shift, -st, deg_x)
+    bp = _binomial_table(st - ct * shift, ct, deg_p)
+    sums = _SUM_INDEX[: deg_x + 1, : deg_p + 1, : deg_x + deg_p + 1]
+    hankel = sums @ _moments(a, deg_x + deg_p + 1)
+    tables = np.einsum("aik,bjl,kl,ijn->abn", bx, bp, hankel, sums)
+    return tables, c - b**2 / (4.0 * a)
 
 
 def rotated_quadrature_pdf(W: GaussianPolyWigner, theta_a: float, theta_b: float):

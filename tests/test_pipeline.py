@@ -142,6 +142,24 @@ class TestRun:
         kept = run(replace(cfg, engine="fock", **{field: 0.0}), keep_state=True)
         assert np.abs(kept.rho_p.matrix - res.diagnostics.fock_matrix).max() < 1e-10
 
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 5.0])
+    def test_eta_one_concurrence_is_exact(self, r, loss_on_a):
+        # without mid-stage loss the squeezers cancel and p11 is exactly 0, so
+        # C = 2|d|/trace; a squeeze round trip leaves ~1e-17 in p11, which
+        # sqrt(p00 p11) lifts to ~1e-8 in C.  r = 5 is past the Fock photon cap.
+        engines = ("phase_space",) if r == 5.0 else ("fock", "phase_space")
+        for engine in engines:
+            res = run(
+                ExperimentConfig(
+                    r=r, eta1=0.8, eta2=0.7, loss_on_a=loss_on_a, engine=engine
+                )
+            )
+            rho = res.rho_p
+            assert res.concurrence.value == pytest.approx(
+                2.0 * abs(rho.d) / rho.trace, abs=1e-15
+            ), engine
+
     def test_eta_zero_auto_above_switch(self):
         res = run(ExperimentConfig(target_n=100.0, eta=0.0))
         assert res.engine == "phase_space"

@@ -38,6 +38,17 @@ def one_photon_in_b() -> GaussianPolyWigner:
     return GaussianPolyWigner(widths=np.ones(4), coeffs=c)
 
 
+def random_table() -> GaussianPolyWigner:
+    """Random complex (3, 3, 3, 3) coefficients and widths: unlike the states
+    the pipeline reaches, every coefficient is distinct and complex."""
+    rng = np.random.default_rng(7)
+    shape = (3, 3, 3, 3)
+    return GaussianPolyWigner(
+        widths=rng.uniform(0.5, 2.0, 4),
+        coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+    )
+
+
 class TestInitialWigner:
     def test_normalized(self):
         assert initial_wigner().total_integral() == pytest.approx(1.0, abs=1e-12)
@@ -164,23 +175,34 @@ class TestLossConvolve:
         assert out.total_integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_against_numeric_convolution(self):
-        # brute-force quadrature of the attenuation integral at r <= 1
+        # brute-force quadrature of the attenuation integral, on the r = 1
+        # state in mode B and on a random complex table in both modes
         eta = 0.8
-        W = squeeze_rescale(initial_wigner(), 1.0, +1)
-        out = loss_convolve(W, eta)
         g = np.linspace(-8.0, 8.0, 501)
         xp, pp = np.meshgrid(g, g)
-        xa, pa = 0.4, -0.2
-        for xb, pb in ((0.0, 0.0), (0.5, -0.7), (1.1, 0.3)):
-            kernel = np.exp(
-                -eta
-                / (1.0 - eta)
-                * ((xp - xb / math.sqrt(eta)) ** 2 + (pp - pb / math.sqrt(eta)) ** 2)
-            ) / (math.pi * (1.0 - eta))
-            integrand = W.evaluate(xa, pa, xp, pp).real * kernel
-            numeric = np.trapezoid(np.trapezoid(integrand, g, axis=1), g)
-            closed = out.evaluate(xa, pa, xb, pb).real
-            assert numeric == pytest.approx(closed, abs=1e-6)
+        spectator = (0.4, -0.2)  # the other mode's (X, P)
+        cases = (
+            (squeeze_rescale(initial_wigner(), 1.0, +1), "B",
+             ((0.0, 0.0), (0.5, -0.7), (1.1, 0.3))),
+            (random_table(), "A", ((0.0, 0.0), (1.1, 0.3))),
+            (random_table(), "B", ((0.5, -0.7),)),
+        )
+        for W, mode, points in cases:
+            out = loss_convolve(W, eta, mode)
+            for x, p in points:
+                kernel = np.exp(
+                    -eta
+                    / (1.0 - eta)
+                    * ((xp - x / math.sqrt(eta)) ** 2 + (pp - p / math.sqrt(eta)) ** 2)
+                ) / (math.pi * (1.0 - eta))
+                if mode == "A":
+                    integrand = W.evaluate(xp, pp, *spectator) * kernel
+                    closed = out.evaluate(x, p, *spectator)
+                else:
+                    integrand = W.evaluate(*spectator, xp, pp) * kernel
+                    closed = out.evaluate(*spectator, x, p)
+                numeric = np.trapezoid(np.trapezoid(integrand, g, axis=1), g)
+                assert numeric == pytest.approx(complex(closed), abs=1e-6)
 
     def test_degree_preserved(self):
         W = initial_wigner()
@@ -203,6 +225,12 @@ class TestMoments:
         for exponent in (7, -1):
             with pytest.raises(ValueError):
                 gaussian_moment(initial_wigner(), (exponent, 0, 0, 0))
+
+    def test_table_degree_bounded(self):
+        # the import-time tables hold the powers of degree-4 tables
+        GaussianPolyWigner(widths=np.ones(4), coeffs=np.ones((5, 1, 1, 5)))
+        with pytest.raises(ValueError, match="at most 4"):
+            GaussianPolyWigner(widths=np.ones(4), coeffs=np.ones((1, 6, 1, 1)))
 
 
 class TestExtraction:
@@ -309,17 +337,23 @@ class TestRotatedQuadraturePdf:
         assert np.abs(pdf(xa, xb) - expected).max() < 1e-12
 
     def test_against_line_integral_oracle(self):
-        # marginalize numerically along the conjugate quadrature
-        W = loss_convolve(squeeze_rescale(initial_wigner(), 0.8, +1), 0.9)
-        theta_a, theta_b = 0.6, 1.9
-        pdf = rotated_quadrature_pdf(W, theta_a, theta_b)
+        # marginalize numerically along the conjugate quadrature, on a lossy
+        # squeezed state and on a random complex table at theta = 0 and pi/2
         s = np.linspace(-9.0, 9.0, 721)
         sa, sb = np.meshgrid(s, s)
-        for xa, xb in ((0.0, 0.0), (0.8, -0.5), (-1.3, 0.2)):
-            xrot_a = xa * math.cos(theta_a) - sa * math.sin(theta_a)
-            prot_a = xa * math.sin(theta_a) + sa * math.cos(theta_a)
-            xrot_b = xb * math.cos(theta_b) - sb * math.sin(theta_b)
-            prot_b = xb * math.sin(theta_b) + sb * math.cos(theta_b)
-            vals = W.evaluate(xrot_a, prot_a, xrot_b, prot_b).real
-            numeric = np.trapezoid(np.trapezoid(vals, s, axis=1), s)
-            assert pdf(xa, xb) == pytest.approx(numeric, abs=1e-8)
+        cases = (
+            (loss_convolve(squeeze_rescale(initial_wigner(), 0.8, +1), 0.9),
+             0.6, 1.9, ((0.0, 0.0), (0.8, -0.5), (-1.3, 0.2))),
+            (random_table(), 0.0, math.pi / 2, ((0.8, -0.5),)),
+            (random_table(), math.pi / 2, 0.0, ((-1.3, 0.2),)),
+        )
+        for W, theta_a, theta_b, points in cases:
+            pdf = rotated_quadrature_pdf(W, theta_a, theta_b)
+            for xa, xb in points:
+                xrot_a = xa * math.cos(theta_a) - sa * math.sin(theta_a)
+                prot_a = xa * math.sin(theta_a) + sa * math.cos(theta_a)
+                xrot_b = xb * math.cos(theta_b) - sb * math.sin(theta_b)
+                prot_b = xb * math.sin(theta_b) + sb * math.cos(theta_b)
+                vals = W.evaluate(xrot_a, prot_a, xrot_b, prot_b).real
+                numeric = np.trapezoid(np.trapezoid(vals, s, axis=1), s)
+                assert pdf(xa, xb) == pytest.approx(numeric, abs=1e-8)
