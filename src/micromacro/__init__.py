@@ -20,13 +20,11 @@ from .errors import (
     IllConditionedError,
     MicroMacroError,
     NotAnXStateError,
-    TailToleranceError,
     TruncationError,
 )
 from .fock import (
     BranchEnsemble,
     SqueezePropagator,
-    apply_squeeze,
     branches_to_projected,
     choose_n_max,
     loss_on_branch,
@@ -74,11 +72,9 @@ __all__ = [
     "NotAnXStateError",
     "ProjectedDensityMatrix",
     "SqueezePropagator",
-    "TailToleranceError",
     "TomographyRecord",
     "TruncationError",
     "amplified_mean_photons",
-    "apply_squeeze",
     "branches_to_projected",
     "choose_n_max",
     "concurrence_general",

@@ -19,6 +19,11 @@ from .errors import NotAnXStateError
 # diagonal and the anti-diagonal.
 _X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
+#: off-X residual above which a block is not treated as an X state
+XSTATE_RESIDUAL_TOL = 1e-8
+#: negative eigenvalues down to -POSITIVITY_TOL count as roundoff and are clamped
+POSITIVITY_TOL = 1e-10
+
 _SIGMA_YY = np.array(
     [
         [0, 0, 0, -1],
@@ -116,16 +121,10 @@ class ProjectedDensityMatrix:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence value with the attaining branch and the four lambda_i."""
+    """Concurrence value with the attaining branch."""
 
     value: float
     branch: str  # "d", "d_prime", "zero", or "general"
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
 
 
 def xstate_formula(p00, p01, p10, p11, d, d_prime):
@@ -147,45 +146,26 @@ def xstate_formula(p00, p01, p10, p11, d, d_prime):
     return value, branch
 
 
-def _xstate_lambdas(p00, p01, p10, p11, d, d_prime):
-    lam = np.array(
-        [
-            abs(d) + np.sqrt(max(p01, 0.0) * max(p10, 0.0)),
-            abs(abs(d) - np.sqrt(max(p01, 0.0) * max(p10, 0.0))),
-            abs(d_prime) + np.sqrt(max(p00, 0.0) * max(p11, 0.0)),
-            abs(abs(d_prime) - np.sqrt(max(p00, 0.0) * max(p11, 0.0))),
-        ]
-    )
-    return np.sort(lam)[::-1]
-
-
-def concurrence_xstate(
-    rho: ProjectedDensityMatrix,
-    normalize: bool = True,
-    residual_tol: float = 1e-8,
-) -> ConcurrenceResult:
+def concurrence_xstate(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
     """X-state concurrence via the closed-form expression.
 
-    The input must be X-structured (off-X residual below ``residual_tol``).
-    With ``normalize=True`` (default) entries are divided by the trace first,
-    which is the convention used for all pipeline outputs.
+    The input must be X-structured (off-X residual below
+    ``XSTATE_RESIDUAL_TOL``).  Entries are divided by the trace first, the
+    convention used for all pipeline outputs; ``xstate_formula`` gives the
+    arithmetic on unnormalized entries.
     """
     off = rho.off_x_max()
-    if off >= residual_tol:
+    if off >= XSTATE_RESIDUAL_TOL:
         raise NotAnXStateError(
-            f"off-X residual {off:.3e} exceeds tolerance {residual_tol:.1e}"
+            f"off-X residual {off:.3e} exceeds tolerance {XSTATE_RESIDUAL_TOL:.1e}"
         )
-    p00, p01, p10, p11 = rho.p00, rho.p01, rho.p10, rho.p11
-    d, dp = rho.d, rho.d_prime
-    if normalize:
-        t = rho.trace
-        if t <= 0.0:
-            raise ValueError("zero-trace matrix has no normalized concurrence")
-        p00, p01, p10, p11 = p00 / t, p01 / t, p10 / t, p11 / t
-        d, dp = d / t, dp / t
-    value, branch = xstate_formula(p00, p01, p10, p11, d, dp)
-    lam = _xstate_lambdas(p00, p01, p10, p11, d, dp)
-    return ConcurrenceResult(value=value, branch=branch, eigenvalues=lam)
+    t = rho.trace
+    if t <= 0.0:
+        raise ValueError("zero-trace matrix has no normalized concurrence")
+    value, branch = xstate_formula(
+        rho.p00 / t, rho.p01 / t, rho.p10 / t, rho.p11 / t, rho.d / t, rho.d_prime / t
+    )
+    return ConcurrenceResult(value=value, branch=branch)
 
 
 def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,54 +181,42 @@ def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return mu, lam, np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def concurrence_general(
-    rho: ProjectedDensityMatrix,
-    normalize: bool = True,
-    positivity_tol: float = 1e-10,
-) -> ConcurrenceResult:
-    """Concurrence from the spin-flip eigenvalue construction.
+def concurrence_general(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
+    """Concurrence of the trace-normalized block from the spin-flip
+    eigenvalue construction.
 
     lambda_i are the decreasing square roots of the eigenvalues of
     rho * (sy (x) sy) rho^* (sy (x) sy); this equals the eigenvalues of
     sqrt(sqrt(rho) rho~ sqrt(rho)) but avoids matrix square roots.  Tiny
-    negative eigenvalues (within ``positivity_tol``) are clamped to zero;
+    negative eigenvalues (within ``POSITIVITY_TOL``) are clamped to zero;
     larger violations raise.
     """
-    m = np.array(rho.matrix, dtype=complex)
-    t = np.trace(m).real
+    t = rho.trace
     if t <= 0.0:
         raise ValueError("zero-trace matrix has no concurrence")
-    if normalize:
-        m = m / t
-    m = 0.5 * (m + m.conj().T)
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -positivity_tol:
+    m = rho.matrix / t
+    h = 0.5 * (m + m.conj().T)
+    evals = np.linalg.eigvalsh(h)
+    if evals.min() < -POSITIVITY_TOL:
         raise ValueError(
             f"input not positive semidefinite: eigenvalue {evals.min():.3e}"
         )
-    mu, lam, value = spin_flip_concurrence(m)
+    mu, _, value = spin_flip_concurrence(h)
     if np.abs(mu.imag).max() > 1e-8:
         raise ValueError("spin-flip product has non-real eigenvalues")
-    if mu.real.min() < -positivity_tol:
+    if mu.real.min() < -POSITIVITY_TOL:
         raise ValueError(
             f"spin-flip product eigenvalue {mu.real.min():.3e} below tolerance"
         )
-    if rho.off_x_max() < 1e-8:
-        p = rho.matrix
-        scale = t if normalize else 1.0
+    if rho.off_x_max() < XSTATE_RESIDUAL_TOL:
         _, branch = xstate_formula(
-            p[0, 0].real / scale,
-            p[1, 1].real / scale,
-            p[2, 2].real / scale,
-            p[3, 3].real / scale,
-            p[2, 1] / scale,
-            p[0, 3] / scale,
+            m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[2, 1], m[0, 3]
         )
         if value == 0.0:
             branch = "zero"
     else:
         branch = "general"
-    return ConcurrenceResult(value=value, branch=branch, eigenvalues=lam)
+    return ConcurrenceResult(value=value, branch=branch)
 
 
 def success_probability(rho: ProjectedDensityMatrix) -> float:

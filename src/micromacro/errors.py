@@ -9,10 +9,6 @@ class TruncationError(MicroMacroError):
     """Photon-number truncation cannot hold the requested tail tolerance."""
 
 
-class TailToleranceError(MicroMacroError):
-    """A loss channel cannot reach the requested neglected-weight tolerance."""
-
-
 class NotAnXStateError(MicroMacroError, ValueError):
     """A matrix expected to be X-structured carries off-X weight."""
 

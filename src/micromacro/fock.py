@@ -4,12 +4,13 @@ One dynamical bosonic mode (arm B) is tracked on photon numbers 0..n_max,
 entangled with a two-level spectator (arm A).  The mixed two-mode state is
 one ``BranchEnsemble``: rho = sum_k w_k |b_k><b_k| with
 |b_k> = |1>_A (x) U[:, k] + |0>_A (x) V[:, k], held as weights (K,) and
-amplitude stacks U, V of shape (n_max+1, K).  Every stage acts on the whole
-stack at once: the squeeze unitary exp(r (a^2 - a+^2)/2), binomial
-photon-loss Kraus channels (vectorized over the Kraus order), pruning (a
-mask) and the projection onto the {0,1}x{0,1} block (one contraction).
-Single-mode states, such as the closed-form squeezed vacuum and squeezed
-single photon, are plain real amplitude arrays.
+amplitude stacks U, V of shape (n_max+1, K).  Arm B enters the squeezer in
+|0> or |1> only, so the squeezed input is written from the closed-form
+squeezed vacuum and squeezed single photon (plain real amplitude arrays).
+Every later stage acts on the whole stack at once: binomial photon-loss
+Kraus channels (vectorized over the Kraus order), pruning (a mask), the
+inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the projection onto the
+{0,1}x{0,1} block (one contraction).
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
@@ -30,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .entanglement import ProjectedDensityMatrix
-from .errors import TailToleranceError, TruncationError
+from .errors import TruncationError
 
 DEFAULT_TAIL_TOL = 1e-10
 N_MAX_CAP = 8192
@@ -110,16 +111,16 @@ class BranchEnsemble:
         idx = np.flatnonzero(suffix > mass_tol)
         return int(idx[-1]) if len(idx) else 1
 
-    def squeezed(self, prop: "SqueezePropagator", sign: int) -> "BranchEnsemble":
-        """Image under ``prop`` (sign=+1 squeeze, -1 unsqueeze), all nonzero
-        columns of U and V batched into one propagator call."""
+    def unsqueezed(self, prop: "SqueezePropagator") -> "BranchEnsemble":
+        """Image under the inverse squeeze of ``prop``, all nonzero columns of
+        U and V batched into one propagator call."""
         stack = np.concatenate([self.U, self.V], axis=1)
         live = np.flatnonzero(np.any(stack != 0, axis=0))
         if len(live) == stack.shape[1]:
-            moved = prop.apply_columns(stack, sign)
+            moved = prop.apply_columns(stack, -1)
         else:
             moved = np.zeros_like(stack, dtype=np.result_type(stack, 1.0))
-            moved[:, live] = prop.apply_columns(stack.take(live, axis=1), sign)
+            moved[:, live] = prop.apply_columns(stack.take(live, axis=1), -1)
         return BranchEnsemble(self.weights, moved[:, : len(self)], moved[:, len(self) :])
 
 
@@ -151,6 +152,20 @@ def _log_suffix_tails(logp: np.ndarray, log_ratio_bound: float) -> np.ndarray:
     return np.logaddexp.accumulate(padded[::-1])[::-1]
 
 
+@lru_cache(maxsize=16)
+def _log_tails(r: float, parity: int, top: int) -> np.ndarray:
+    """log of sum_{j>k} p_{2j+parity} for k = 0..top (read-only, cached for
+    the closed forms that follow choose_n_max).  The terms past ``top`` are
+    bounded by a geometric series: the term ratio is q (2k+1)/(2k+2) < q for
+    the vacuum family and q (2k+3)/(2k+2), falling with k, for the one
+    family (q = tanh^2 r)."""
+    log_ratio = 2.0 * math.log(math.tanh(r)) + math.log1p(parity / (2.0 * top + 2.0))
+    logp = _log_probs_squeezed(r, np.arange(top + 1), parity)
+    tails = _log_suffix_tails(logp, log_ratio)
+    tails.flags.writeable = False
+    return tails
+
+
 def choose_n_max(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest even truncation whose analytic tail mass is below ``tail_tol``.
 
@@ -165,17 +180,10 @@ def choose_n_max(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         raise ValueError("tail_tol must be positive")
     if r == 0.0:
         return 2
-    k = np.arange(0, N_MAX_CAP // 2 + 1)
-    log_q = 2.0 * math.log(math.tanh(r))
     log_tol = math.log(tail_tol)
-    # term ratio: q for the vacuum family, q*(1 + 1/(2k+2)) for the one family
-    top = k[-1]
-    tails0 = _log_suffix_tails(_log_probs_squeezed(r, k, 0), log_q)
-    tails1 = _log_suffix_tails(
-        _log_probs_squeezed(r, k, 1),
-        log_q + math.log1p(1.0 / (2.0 * top + 2.0)),
-    )
-    ok = np.nonzero((tails0 < log_tol) & (tails1 < log_tol))[0]
+    top = N_MAX_CAP // 2
+    fits = (_log_tails(r, 0, top) < log_tol) & (_log_tails(r, 1, top) < log_tol)
+    ok = np.nonzero(fits)[0]
     if len(ok) == 0:
         raise TruncationError(
             f"r={r}: tail below {tail_tol:.1e} needs more than {N_MAX_CAP} photons"
@@ -198,7 +206,9 @@ def _squeezed_family(r, n_max, tail_tol, parity) -> np.ndarray:
         return amps
     k = np.arange(0, (n_max - parity) // 2 + 1)
     logp = _log_probs_squeezed(r, k, parity)
-    tail = 1.0 - float(np.sum(np.exp(logp)))
+    # the tail in log space, as in choose_n_max: 1 - sum(p) cannot resolve
+    # tolerances below its own rounding (~1e-16)
+    tail = math.exp(_log_tails(r, parity, max(k[-1], N_MAX_CAP // 2))[k[-1]])
     if tail > tail_tol:
         raise TruncationError(
             f"{name} at r={r}: tail {tail:.3e} above n_max={n_max} "
@@ -328,56 +338,6 @@ def get_propagator(r: float, n_max: int) -> SqueezePropagator:
     return SqueezePropagator(r, n_max)
 
 
-#: working-space boundary mass kept below this, so per-amplitude truncation
-#: error stays under ~1e-9
-_BOUNDARY_MASS_TOL = 1e-18
-
-
-def apply_squeeze(
-    amps: np.ndarray, r: float, sign: int = +1, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
-    """Unitary image of ``amps`` under the squeeze (sign=+1) or its inverse.
-
-    ``amps`` is one amplitude vector or an (n_max+1, m) column stack.  The
-    propagation runs on an internally padded space, grown until the boundary
-    weight is negligible, then the result is cropped back to the input
-    truncation.  Probability that genuinely leaked past n_max beyond
-    ``tail_tol`` raises TruncationError.  At r = 0 the input is returned.
-    """
-    if r == 0.0:
-        return amps
-    amps = np.asarray(amps)
-    n_max = len(amps) - 1
-    nz = np.flatnonzero(np.any(amps.reshape(n_max + 1, -1) != 0, axis=1))
-    n_top = int(nz[-1]) if len(nz) else 0
-    working = max(
-        n_max,
-        choose_n_max(r, _BOUNDARY_MASS_TOL),
-        int(1.5 * n_top * math.cosh(2.0 * r)) + 64,
-    )
-    working = min(working + working % 2, N_MAX_CAP)
-    while True:
-        padded = np.zeros((working + 1,) + amps.shape[1:], dtype=amps.dtype)
-        padded[: n_max + 1] = amps
-        out = get_propagator(r, working).apply_columns(padded, sign)
-        boundary = float(np.sum(_abs2(out[-4:])))
-        if boundary <= _BOUNDARY_MASS_TOL:
-            break
-        if working >= N_MAX_CAP:
-            raise TruncationError(
-                f"squeeze at r={r}: boundary weight {boundary:.3e} "
-                f"persists at the {N_MAX_CAP}-photon cap"
-            )
-        working = min(2 * working, N_MAX_CAP)
-    leak = float(np.sum(_abs2(out[n_max + 1 :])))
-    if leak > tail_tol:
-        raise TruncationError(
-            f"squeeze at r={r}: {leak:.3e} probability leaks past "
-            f"n_max={n_max}, above {tail_tol:.1e}"
-        )
-    return out[: n_max + 1]
-
-
 # ---------------------------------------------------------------------------
 # photon loss channel
 # ---------------------------------------------------------------------------
@@ -405,24 +365,18 @@ def _shifted_rows(a: np.ndarray, rows, shifts, fill: float) -> np.ndarray:
 
 
 def loss_on_branch(
-    ens: BranchEnsemble,
-    eta: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    k_max: int | None = None,
+    ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
     Branch b becomes branches k = 0..k_b, in branch-major order, with
     columns E_k u_b and E_k v_b, where (E_k psi)[n-k] = sqrt(C(n, k)
-    eta^(n-k) (1-eta)^k) psi[n].  With ``k_max=None`` each order grows until
-    the branch's neglected trace falls below its share of ``tail_tol`` (its
-    trace over the ensemble's); k_b never exceeds the branch's top occupied
-    photon number, where the channel is captured exactly.  An explicit
-    ``k_max`` that cannot reach the tolerance raises TailToleranceError.
+    eta^(n-k) (1-eta)^k) psi[n].  Each order k_b grows until the branch's
+    neglected trace falls below its share of ``tail_tol`` (its trace over the
+    ensemble's); k_b never exceeds the branch's top occupied photon number,
+    where the channel is captured exactly.
     """
     _check_eta(eta)
-    if k_max is not None and k_max < 0:
-        raise ValueError("k_max must be >= 0")
     if eta == 1.0:
         return ens
     n_max = ens.n_max
@@ -432,21 +386,20 @@ def loss_on_branch(
     tol = np.maximum(tail_tol * (traces / total if total > 0 else 1.0), 1e-300)
     occupied = mass > 0
     top = np.where(occupied.any(axis=0), n_max - np.argmax(occupied[::-1], axis=0), 0)
-    cap = top if k_max is None else np.minimum(k_max, top)
 
     # Kraus order per branch: the first k whose neglected trace is below tol,
     # scanned in blocks of doubling size over one log-factorial table
     log_fact = gammaln(np.arange(n_max + 1, dtype=float) + 1.0)
     ns = np.arange(n_max + 1)
-    orders = cap.copy()
-    pending = np.full(len(ens), k_max is None)
+    orders = top.copy()
+    pending = np.ones(len(ens), dtype=bool)
     blocks, cum = [], np.zeros(len(ens))
     lo, width = 0, 64
-    while lo <= cap.max() and (k_max is not None or pending.any()):
-        ks = np.arange(lo, min(lo + width, int(cap.max()) + 1))
+    while lo <= top.max() and pending.any():
+        ks = np.arange(lo, min(lo + width, int(top.max()) + 1))
         blocks.append(_log_binomial(ks[:, None], ns, eta, log_fact))
         run = cum + np.cumsum(ens.weights * (np.exp(blocks[-1]) @ mass), axis=0)
-        hit = (traces - run < tol) & (ks[:, None] <= cap) & pending
+        hit = (traces - run < tol) & (ks[:, None] <= top) & pending
         found = hit.any(axis=0)
         orders[found] = ks[np.argmax(hit, axis=0)[found]]
         pending &= ~found
@@ -459,21 +412,12 @@ def loss_on_branch(
     b_of = np.repeat(np.arange(len(ens)), counts)
     k_of = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     fac = np.exp(0.5 * _shifted_rows(np.concatenate(blocks), k_of, k_of, -np.inf))
-    out = BranchEnsemble(
+    return BranchEnsemble(
         ens.weights[b_of],
         (fac * _shifted_rows(ens.U.T, b_of, k_of, 0.0)).T,
         (fac * _shifted_rows(ens.V.T, b_of, k_of, 0.0)).T,
         tuple(int(o) for o in orders),
     )
-    if k_max is not None:
-        deficit = traces - np.bincount(b_of, out.traces, minlength=len(ens))
-        bad = (cap < top) & (deficit > tol)
-        if bad.any():
-            raise TailToleranceError(
-                f"loss eta={eta}: neglected weight {deficit[bad].max():.3e} above "
-                f"{tol[bad].max():.1e} with k_max={k_max}"
-            )
-    return out
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:

@@ -11,24 +11,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 RESULT_SCHEMA = "result-row v1"
-
-RESULT_COLUMNS = (
-    "r",
-    "n0",
-    "n1",
-    "n",
-    "eta1",
-    "eta",
-    "eta2",
-    "concurrence",
-    "success_prob",
-    "engine",
-    "disagreement",
-    "wall_time",
-)
 
 
 def format_float(value) -> str:
@@ -73,27 +58,28 @@ class ResultRow:
             wall_time=result.wall_time,
         )
 
+    def _cells(self) -> list[str]:
+        """Each column as written: engine verbatim, numbers by format_float."""
+        return [
+            self.engine if col == "engine" else format_float(getattr(self, col))
+            for col in RESULT_COLUMNS
+        ]
+
     def to_csv_line(self) -> str:
-        fields = []
-        for col in RESULT_COLUMNS:
-            value = getattr(self, col)
-            fields.append(value if col == "engine" else format_float(value))
-        return ",".join(fields)
+        return ",".join(self._cells())
 
     def to_dict(self) -> dict:
-        out = {}
-        for col in RESULT_COLUMNS:
-            value = getattr(self, col)
-            if col == "engine":
-                out[col] = value
-            elif value is None:
-                out[col] = None
-            else:
-                out[col] = float(format_float(value))
-        return out
+        # numbers go through their written text, so JSON and CSV agree
+        return {
+            col: text if col == "engine" else (float(text) if text else None)
+            for col, text in zip(RESULT_COLUMNS, self._cells())
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def result_rows_csv_text(rows) -> str:

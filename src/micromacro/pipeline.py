@@ -5,7 +5,12 @@ squeezer, transmission eta, the inverse squeezer, transmission eta2 and the
 projection onto the {0,1}x{0,1} photon block, in either the truncated Fock
 engine, the closed-form phase-space engine, or both (cross-validated).
 Losses act on arm B; optionally the detection loss eta2 is mirrored onto the
-spectator arm A.
+spectator arm A.  ``run`` decides once whether the squeezer pair acts at all
+(r > 0 and eta < 1; otherwise the squeezer and its inverse cancel) and hands
+that to both engines.  The Fock engine starts from the closed-form squeezed
+input, un-squeezes with the truncated propagator, and always takes the block
+from ``project_through_loss``; with ``keep_state`` it also expands the final
+ensemble through the eta2 loss for the tomography sampler.
 
 All runs are pure functions of the configuration, so sweeps parallelize
 trivially and results are bit-stable for a given config on a given machine.
@@ -155,20 +160,25 @@ class ExperimentResult:
     final_wigner: wg.GaussianPolyWigner | None = None
 
 
-def _initial_ensemble(eta1: float, n_max: int) -> fk.BranchEnsemble:
-    """Beam-splitter input after eta1 on arm B, worked out on the qubit.
+def _initial_ensemble(
+    eta1: float, r: float, n_max: int, tail_tol: float
+) -> fk.BranchEnsemble:
+    """The squeezed input: the beam-splitter state after eta1 and S(r) on arm B.
 
-    The only B content is |0> and |1>, so the loss has two exact branches:
-    the photon survives (amplitude sqrt(eta1)) or decays to vacuum.
+    Arm B holds only |0> and |1> before the squeezer, so the eta1 loss has
+    two exact branches (the photon survives with amplitude sqrt(eta1) or
+    decays to vacuum), and S(r) maps them to the closed-form squeezed vacuum
+    and squeezed single photon.
     """
     half = 1.0 / math.sqrt(2.0)
+    s0 = fk.squeezed_vacuum(r, n_max, tail_tol)
     count = 1 if eta1 == 1.0 else 2
     u = np.zeros((n_max + 1, count))
     v = np.zeros((n_max + 1, count))
-    u[0, 0] = half
-    v[1, 0] = half * math.sqrt(eta1)
+    u[:, 0] = half * s0
+    v[:, 0] = half * math.sqrt(eta1) * fk.squeezed_one(r, n_max, tail_tol)
     if count == 2:
-        v[0, 1] = half * math.sqrt(1.0 - eta1)
+        v[:, 1] = half * math.sqrt(1.0 - eta1) * s0
     return fk.BranchEnsemble(np.ones(count), u, v)
 
 
@@ -186,21 +196,16 @@ def _attenuate_spectator_block(matrix: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _run_fock(
-    cfg: ExperimentConfig, keep_state: bool
+    cfg: ExperimentConfig, r: float, squeeze: bool, keep_state: bool
 ) -> tuple[ProjectedDensityMatrix, EngineDiagnostics, fk.BranchEnsemble | None]:
-    r = cfg.resolved_r()
     diag = EngineDiagnostics()
     # a kept state feeds amplitude-linear quantities (homodyne densities), so
     # its truncation bound must hold amplitudes to ~1e-8, not just mass
     trunc_tol = min(cfg.tail_tol, 1e-17) if keep_state else cfg.tail_tol
-    n_max = max(fk.choose_n_max(r, trunc_tol), 2)
+    # without the squeeze, arm B never leaves {0, 1}
+    n_max = fk.choose_n_max(r, trunc_tol) if squeeze else 2
     diag.n_max = n_max
-    ens = _initial_ensemble(cfg.eta1, n_max)
-    # without mid-stage loss the squeezer and its inverse cancel exactly
-    squeeze = r > 0.0 and cfg.eta < 1.0
-    if squeeze:
-        prop = fk.get_propagator(r, n_max)
-        ens = ens.squeezed(prop, +1)
+    ens = _initial_ensemble(cfg.eta1, r if squeeze else 0.0, n_max, trunc_tol)
     if cfg.eta < 1.0:
         total = float(ens.traces.sum())
         expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol)
@@ -208,7 +213,7 @@ def _run_fock(
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
     if squeeze:
-        ens = ens.squeezed(prop, -1)
+        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
     # crop at amplitude ~1e-9 so quantities linear in the amplitudes
     # (e.g. homodyne densities from the kept state) stay good to ~1e-8
     bound = min(max(ens.support(min(cfg.tail_tol * 1e-2, 1e-18)), 3), ens.n_max)
@@ -216,12 +221,12 @@ def _run_fock(
     diag.support_bound = bound
     diag.branch_count = len(ens)
 
+    rho = fk.project_through_loss(ens, cfg.eta2)
+    if cfg.loss_on_a:
+        rho = ProjectedDensityMatrix(
+            _attenuate_spectator_block(np.array(rho.matrix), cfg.eta2)
+        )
     if not keep_state:
-        rho = fk.project_through_loss(ens, cfg.eta2)
-        if cfg.loss_on_a:
-            rho = ProjectedDensityMatrix(
-                _attenuate_spectator_block(np.array(rho.matrix), cfg.eta2)
-            )
         return rho, diag, None
     if cfg.eta2 < 1.0:
         ens, dropped = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
@@ -229,14 +234,12 @@ def _run_fock(
     if cfg.loss_on_a:
         ens, dropped = fk.prune_branches(fk.loss_on_spectator(ens, cfg.eta2))
         diag.dropped_mass += dropped
-    return fk.branches_to_projected(ens), diag, ens
+    return rho, diag, ens
 
 
 def _run_phase_space(
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig, r: float, squeeze: bool
 ) -> tuple[ProjectedDensityMatrix, wg.GaussianPolyWigner]:
-    r = cfg.resolved_r()
-    squeeze = r > 0.0 and cfg.eta < 1.0  # as in _run_fock
     W = wg.initial_wigner()
     if cfg.eta1 < 1.0:
         W = wg.loss_convolve(W, cfg.eta1, mode="B")
@@ -263,16 +266,18 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
     config.validate()
     t0 = time.perf_counter()
     r = config.resolved_r()
+    # without mid-stage loss the squeezer and its inverse cancel exactly
+    squeeze = r > 0.0 and config.eta < 1.0
     engine = config.resolved_engine()
     diag = EngineDiagnostics()
     final_branches = None
     final_wigner = None
 
     if engine in ("fock", "both"):
-        rho_fock, diag, final_branches = _run_fock(config, keep_state)
+        rho_fock, diag, final_branches = _run_fock(config, r, squeeze, keep_state)
         diag.fock_matrix = np.array(rho_fock.matrix)
     if engine in ("phase_space", "both"):
-        rho_ps, W = _run_phase_space(config)
+        rho_ps, W = _run_phase_space(config, r, squeeze)
         if keep_state:
             final_wigner = W
         diag.phase_space_matrix = np.array(rho_ps.matrix)

@@ -23,6 +23,11 @@ def bell_matrix() -> ProjectedDensityMatrix:
     return ProjectedDensityMatrix.from_xstate(0.0, 0.5, 0.5, 0.0, d=0.5)
 
 
+def unnormalized_xstate(rho: ProjectedDensityMatrix) -> float:
+    """The X-state formula on the raw entries, without trace normalization."""
+    return xstate_formula(rho.p00, rho.p01, rho.p10, rho.p11, rho.d, rho.d_prime)[0]
+
+
 def random_physical_xstate(rng) -> ProjectedDensityMatrix:
     p = rng.dirichlet(np.ones(4))
     d = (
@@ -58,8 +63,9 @@ class TestConcurrenceGeneral:
     def test_eigenvalue_identity(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            res = concurrence_general(random_physical_xstate(rng))
-            lam = res.eigenvalues
+            rho = random_physical_xstate(rng)
+            res = concurrence_general(rho)
+            _, lam, _ = spin_flip_concurrence(rho.matrix / rho.trace)
             assert res.value == pytest.approx(
                 max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), abs=1e-10
             )
@@ -113,8 +119,7 @@ class TestConcurrenceXState:
         assert value == pytest.approx(0.4, abs=1e-15)
         assert branch == "d"
         rho = ProjectedDensityMatrix.from_xstate(0.1, 0.25, 0.25, 0.1, d=0.3)
-        res = concurrence_xstate(rho, normalize=False)
-        assert res.value == pytest.approx(0.4, abs=1e-15)
+        assert unnormalized_xstate(rho) == pytest.approx(0.4, abs=1e-15)
 
     def test_bell_state(self):
         assert concurrence_xstate(bell_matrix()).value == pytest.approx(1.0)
@@ -138,7 +143,7 @@ class TestConcurrenceXState:
         # scaled Bell matrix: unnormalized trace 0.5, concurrence still 1
         rho = ProjectedDensityMatrix(bell_matrix().matrix * 0.5)
         assert concurrence_xstate(rho).value == pytest.approx(1.0, abs=1e-12)
-        assert concurrence_xstate(rho, normalize=False).value == pytest.approx(0.5)
+        assert unnormalized_xstate(rho) == pytest.approx(0.5)
 
     def test_value_range(self):
         rng = np.random.default_rng(99)

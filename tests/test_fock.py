@@ -16,9 +16,7 @@ from scipy.linalg import expm
 from micromacro import (
     BranchEnsemble,
     SqueezePropagator,
-    TailToleranceError,
     TruncationError,
-    apply_squeeze,
     branches_to_projected,
     choose_n_max,
     loss_on_branch,
@@ -29,7 +27,7 @@ from micromacro import (
     squeezed_vacuum,
 )
 
-from micromacro.fock import prune_branches
+from micromacro.fock import get_propagator, prune_branches
 
 from conftest import random_branches
 
@@ -104,6 +102,15 @@ class TestSqueezedStates:
             previous = bound
             assert np.sum(squeezed_vacuum(r, bound)[bound - 1 :] ** 2) < 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-17])
+    def test_chosen_n_max_passes_the_tail_check(self, tol):
+        # a float 1 - sum(p) rounds at ~1e-16: it read 1.03e-14 for the one
+        # family at r = 2 on choose_n_max(2, 1e-14)
+        for r in (1.5, 2.0):
+            n_max = choose_n_max(r, tol)
+            assert len(squeezed_vacuum(r, n_max, tol)) == n_max + 1
+            assert len(squeezed_one(r, None, tol)) == n_max + 1
+
     def test_choose_n_max_cap(self):
         with pytest.raises(TruncationError):
             choose_n_max(4.0)
@@ -169,19 +176,27 @@ class TestSqueezePropagator:
         assert out.shape == (10,)
 
 
+def _forward(amps: np.ndarray, r: float) -> np.ndarray:
+    """S(r) amps on the input's own truncation, which must hold the image:
+    the last four rows carry no more than 1e-18 of its mass."""
+    out = get_propagator(r, len(amps) - 1).apply_columns(amps, +1)
+    assert np.sum(np.abs(out[-4:]) ** 2) <= 1e-18
+    return out
+
+
 class TestApplySqueeze:
+    """The forward squeeze through the propagator, on a fixed truncation."""
+
     def test_matches_closed_form_on_vacuum(self):
-        sv = squeezed_vacuum(0.5)
-        out = apply_squeeze(_fock(0, len(sv) - 1), 0.5, +1)
-        assert np.abs(out - sv).max() < 1e-8
+        out = _forward(_fock(0, 400), 0.5)
+        assert np.abs(out - squeezed_vacuum(0.5, 400)).max() < 1e-8
 
     def test_matches_closed_form_on_one(self):
-        so = squeezed_one(1.2)
-        out = apply_squeeze(_fock(1, len(so) - 1), 1.2, +1)
-        assert np.abs(out - so).max() < 1e-8
+        out = _forward(_fock(1, 400), 1.2)
+        assert np.abs(out - squeezed_one(1.2, 400)).max() < 1e-8
 
     def test_odd_support_preserved(self):
-        out = apply_squeeze(_fock(1, 200), 1.0, +1)
+        out = _forward(_fock(1, 400), 1.0)
         assert np.abs(out[::2]).max() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -192,18 +207,10 @@ class TestApplySqueeze:
         state = np.zeros(1200, dtype=complex)
         state[:21] = psi
         r = float(rng.uniform(0.2, 1.5))
-        fwd = apply_squeeze(state, r, +1)
+        fwd = _forward(state, r)
         assert np.vdot(fwd, fwd).real == pytest.approx(1.0, abs=1e-8)
-        back = apply_squeeze(fwd, r, -1)
+        back = get_propagator(r, 1199).apply_columns(fwd, -1)
         assert np.abs(back - state).max() < 1e-8
-
-    def test_identity_at_r_zero(self):
-        state = _fock(1, 10)
-        assert apply_squeeze(state, 0.0, +1) is state
-
-    def test_leak_past_n_max_raises(self):
-        with pytest.raises(TruncationError):
-            apply_squeeze(_fock(0, 10), 2.0, +1)
 
 
 def _dense_kraus(n_dim: int, k: int, eta: float) -> np.ndarray:
@@ -271,18 +278,10 @@ class TestLossChannel:
         assert branch.traces.sum() - total < 1e-10
         assert total <= branch.traces.sum() + 1e-12
 
-    def test_explicit_k_max_unreachable(self):
-        sv = squeezed_vacuum(1.5)
-        branch = _single(sv, np.zeros(len(sv)))
-        with pytest.raises(TailToleranceError):
-            loss_on_branch(branch, 0.5, tail_tol=1e-10, k_max=1)
-
     def test_invalid_eta(self, bell_branch):
         for eta in (1.2, -0.1, math.nan):
             with pytest.raises(ValueError):
                 loss_on_branch(bell_branch, eta)
-        with pytest.raises(ValueError):
-            loss_on_branch(bell_branch, 0.9, k_max=-1)
 
     def test_eta_zero_dumps_to_vacuum(self):
         with warnings.catch_warnings():

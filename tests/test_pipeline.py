@@ -110,13 +110,16 @@ class TestRun:
         assert a.concurrence.value == b.concurrence.value
 
     def test_keep_state_consistency(self):
-        cfg = ExperimentConfig(r=1.0, eta=0.9, eta2=0.95, engine="fock")
-        res = run(cfg, keep_state=True)
-        assert res.final_branches is not None
-        rebuilt = branches_to_projected(res.final_branches)
-        assert np.abs(rebuilt.matrix - res.rho_p.matrix).max() < 1e-12
-        fused = run(cfg, keep_state=False)
-        assert np.abs(fused.rho_p.matrix - res.rho_p.matrix).max() < 1e-10
+        for r in (1.0, 1.5, 2.0):
+            cfg = ExperimentConfig(r=r, eta=0.9, eta2=0.95, engine="fock")
+            res = run(cfg, keep_state=True)
+            assert res.final_branches is not None
+            # the kept ensemble, expanded through the eta2 Kraus channel, must
+            # reproduce the fused block that project_through_loss gives
+            fused = run(cfg, keep_state=False)
+            rebuilt = branches_to_projected(res.final_branches)
+            assert np.abs(fused.rho_p.matrix - rebuilt.matrix).max() < 1e-10, r
+            assert np.abs(fused.rho_p.matrix - res.rho_p.matrix).max() < 1e-10, r
 
     def test_keep_state_phase_space(self):
         res = run(ExperimentConfig(r=1.0, eta=0.9, engine="phase_space"), keep_state=True)
@@ -131,7 +134,8 @@ class TestRun:
         assert res.diagnostics.disagreement < 1e-6
         # branch-level expansion (keep_state) must match the block-level map
         kept = run(replace(cfg, engine="fock"), keep_state=True)
-        assert np.abs(kept.rho_p.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+        rebuilt = branches_to_projected(kept.final_branches)
+        assert np.abs(rebuilt.matrix - res.diagnostics.fock_matrix).max() < 1e-10
 
     @pytest.mark.parametrize("field", ["eta1", "eta", "eta2"])
     @pytest.mark.parametrize("loss_on_a", [False, True])
@@ -140,16 +144,17 @@ class TestRun:
         res = run(replace(cfg, **{field: 0.0}))
         assert res.diagnostics.disagreement < 1e-9
         kept = run(replace(cfg, engine="fock", **{field: 0.0}), keep_state=True)
-        assert np.abs(kept.rho_p.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+        rebuilt = branches_to_projected(kept.final_branches)
+        assert np.abs(rebuilt.matrix - res.diagnostics.fock_matrix).max() < 1e-10
 
     @pytest.mark.parametrize("loss_on_a", [False, True])
     @pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 5.0])
     def test_eta_one_concurrence_is_exact(self, r, loss_on_a):
         # without mid-stage loss the squeezers cancel and p11 is exactly 0, so
         # C = 2|d|/trace; a squeeze round trip leaves ~1e-17 in p11, which
-        # sqrt(p00 p11) lifts to ~1e-8 in C.  r = 5 is past the Fock photon cap.
-        engines = ("phase_space",) if r == 5.0 else ("fock", "phase_space")
-        for engine in engines:
+        # sqrt(p00 p11) lifts to ~1e-8 in C.  No squeeze runs, so the Fock
+        # engine needs photon numbers 0..2 only, even at r = 5.
+        for engine in ("fock", "phase_space", "both"):
             res = run(
                 ExperimentConfig(
                     r=r, eta1=0.8, eta2=0.7, loss_on_a=loss_on_a, engine=engine
@@ -159,6 +164,8 @@ class TestRun:
             assert res.concurrence.value == pytest.approx(
                 2.0 * abs(rho.d) / rho.trace, abs=1e-15
             ), engine
+            if engine != "phase_space":
+                assert res.diagnostics.n_max == 2
 
     def test_eta_zero_auto_above_switch(self):
         res = run(ExperimentConfig(target_n=100.0, eta=0.0))
