@@ -45,7 +45,6 @@ from .tomography import (
     TomographyRecord,
     concurrence_with_uncertainty,
     hermite_functions,
-    joint_pdf,
     pattern_function,
     reconstruct,
     sample,
@@ -84,7 +83,6 @@ __all__ = [
     "gaussian_moment",
     "hermite_functions",
     "initial_wigner",
-    "joint_pdf",
     "loss_convolve",
     "loss_on_branch",
     "loss_on_spectator",

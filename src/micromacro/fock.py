@@ -10,7 +10,9 @@ squeezed vacuum and squeezed single photon (plain real amplitude arrays).
 Every later stage acts on the whole stack at once: binomial photon-loss
 Kraus channels (vectorized over the Kraus order), pruning (a mask), the
 inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the projection onto the
-{0,1}x{0,1} block (one contraction).
+{0,1}x{0,1} block (one contraction).  After a trailing loss the block reads
+only the leading photon numbers (``projection_rows``), and a few leading
+rows of the inverse squeeze cost as many propagated unit columns.
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
@@ -94,10 +96,6 @@ class BranchEnsemble:
         norms += np.einsum("nk,nk->k", self.V.conj(), self.V)
         return self.weights * norms.real
 
-    def select(self, keep) -> "BranchEnsemble":
-        """The branches picked by a boolean mask or index array."""
-        return BranchEnsemble(self.weights[keep], self.U[:, keep], self.V[:, keep])
-
     def truncated(self, n_max: int) -> "BranchEnsemble":
         """The same branches on photon numbers 0..n_max (views, no copy)."""
         return BranchEnsemble(self.weights, self.U[: n_max + 1], self.V[: n_max + 1])
@@ -111,17 +109,17 @@ class BranchEnsemble:
         idx = np.flatnonzero(suffix > mass_tol)
         return int(idx[-1]) if len(idx) else 1
 
-    def unsqueezed(self, prop: "SqueezePropagator") -> "BranchEnsemble":
-        """Image under the inverse squeeze of ``prop``, all nonzero columns of
-        U and V batched into one propagator call."""
-        stack = np.concatenate([self.U, self.V], axis=1)
-        live = np.flatnonzero(np.any(stack != 0, axis=0))
-        if len(live) == stack.shape[1]:
-            moved = prop.apply_columns(stack, -1)
-        else:
-            moved = np.zeros_like(stack, dtype=np.result_type(stack, 1.0))
-            moved[:, live] = prop.apply_columns(stack.take(live, axis=1), -1)
-        return BranchEnsemble(self.weights, moved[:, : len(self)], moved[:, len(self) :])
+    def unsqueezed(self, prop: "SqueezePropagator", rows: int) -> "BranchEnsemble":
+        """Photon numbers 0..rows-1 of the image under the inverse squeeze of
+        ``prop``.  The squeeze S is real orthogonal, so those rows of
+        S^-1 = S^T are the forward images of the first ``rows`` unit columns:
+        one propagator call on ``rows`` columns and one product per stack.
+        Asked for every row, it propagates the stacks themselves."""
+        if rows > self.n_max:
+            U, V = prop.apply_columns(self.U, -1), prop.apply_columns(self.V, -1)
+            return BranchEnsemble(self.weights, U, V)
+        head = prop.apply_columns(np.eye(self.n_max + 1, rows), +1).T
+        return BranchEnsemble(self.weights, head @ self.U, head @ self.V)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +443,9 @@ def prune_branches(
     traces = ens.traces
     keep = traces >= threshold
     dropped = float(traces[~keep].sum())
-    return (ens if keep.all() else ens.select(keep)), dropped
+    if not keep.all():
+        ens = BranchEnsemble(ens.weights[keep], ens.U[:, keep], ens.V[:, keep])
+    return ens, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +465,22 @@ def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
     return ProjectedDensityMatrix((c * ens.weights) @ c.conj().T)
 
 
+def projection_rows(eta: float, n_max: int, mass_tol: float) -> int:
+    """How many leading photon-number rows ``project_through_loss`` needs.
+
+    Kraus order k of the eta loss reads rows k and k+1 into the block, with
+    weight at most max(1, eta (k+1)) (1-eta)^k per unit of trace.  The rows
+    0..k* - 1 returned hold every order before the first one at which the
+    tail of those weights drops below ``mass_tol``: 2 at eta = 1, and all
+    n_max + 1 at eta = 0.
+    """
+    _check_eta(eta)
+    k = np.arange(n_max + 1, dtype=float)
+    weight = np.maximum(1.0, eta * (k + 1.0)) * np.power(1.0 - eta, k)
+    below = np.flatnonzero(np.cumsum(weight[::-1])[::-1] < mass_tol)
+    return int(below[0]) + 1 if len(below) else n_max + 1
+
+
 def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMatrix:
     """Projected block after a trailing loss channel, without branch expansion.
 
@@ -477,11 +493,9 @@ def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMat
     """
     _check_eta(eta)
     n = np.arange(ens.n_max + 1, dtype=float)
-    half = np.power(1.0 - eta, n / 2.0)
-    # rows past the last nonzero loss factor contribute exactly nothing
-    top = min(int(np.flatnonzero(half)[-1]) + 2, len(n))
-    half, U, V = half[:top, None], ens.U[:top], ens.V[:top]
-    t1 = np.sqrt(eta * (n[: top - 1] + 1.0))[:, None] * half[:-1]
+    half = np.power(1.0 - eta, n / 2.0)[:, None]
+    U, V = ens.U, ens.V
+    t1 = np.sqrt(eta * (n[:-1] + 1.0))[:, None] * half[:-1]
     # rows in basis order (0,0), (0,1), (1,0), (1,1) = (i_A, j_B), each
     # scaled by sqrt(w) so the block is one Gram contraction
     rows = np.zeros((4,) + U.shape, dtype=U.dtype)

@@ -8,9 +8,11 @@ Losses act on arm B; optionally the detection loss eta2 is mirrored onto the
 spectator arm A.  ``run`` decides once whether the squeezer pair acts at all
 (r > 0 and eta < 1; otherwise the squeezer and its inverse cancel) and hands
 that to both engines.  The Fock engine starts from the closed-form squeezed
-input, un-squeezes with the truncated propagator, and always takes the block
-from ``project_through_loss``; with ``keep_state`` it also expands the final
-ensemble through the eta2 loss for the tomography sampler.
+input and takes the block from ``project_through_loss``.  That block reads
+only the leading photon numbers after the eta2 loss (``projection_rows``),
+so a plain run un-squeezes only those rows.  With ``keep_state`` it
+un-squeezes the whole state, crops it at its support and also expands it
+through the eta2 loss for the tomography sampler.
 
 All runs are pure functions of the configuration, so sweeps parallelize
 trivially and results are bit-stable for a given config on a given machine.
@@ -129,7 +131,22 @@ class ExperimentConfig:
 
 @dataclass
 class EngineDiagnostics:
-    """Numerical bookkeeping of one run."""
+    """Numerical bookkeeping of one run; the Fock fields stay unset in phase space.
+
+    - ``n_max``: the Fock photon cutoff (2 when no squeeze runs).
+    - ``kraus_orders``, ``neglected_mass``: per branch, the top Kraus order
+      of the eta loss, and the trace those orders leave out.
+    - ``dropped_mass``: trace pruned from the eta expansion, before the block
+      is taken; the kept state's later pruning is not counted.
+    - ``support_bound``: the top photon number of the un-squeezed state the
+      run keeps.  Plain runs keep the rows the block reads after the eta2
+      loss (1 at eta2 = 1, ``n_max`` at eta2 = 0); ``keep_state`` runs crop
+      the whole state at its support.
+    - ``branch_count``: branches projected onto the block (the kept state
+      has more after its eta2 expansion).
+    - ``disagreement``: largest elementwise gap between ``fock_matrix`` and
+      ``phase_space_matrix`` (``engine="both"``).
+    """
 
     n_max: int | None = None
     kraus_orders: tuple[int, ...] = ()
@@ -212,13 +229,17 @@ def _run_fock(
         diag.kraus_orders = expanded.kraus_orders
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
+    # amplitude ~1e-9: quantities linear in the amplitudes (e.g. homodyne
+    # densities from the kept state) stay good to ~1e-8
+    mass_tol = min(cfg.tail_tol * 1e-2, 1e-18)
+    # the sampler reads the whole state, the block only its leading rows
+    rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
     if squeeze:
-        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
-    # crop at amplitude ~1e-9 so quantities linear in the amplitudes
-    # (e.g. homodyne densities from the kept state) stay good to ~1e-8
-    bound = min(max(ens.support(min(cfg.tail_tol * 1e-2, 1e-18)), 3), ens.n_max)
-    ens = ens.truncated(bound)
-    diag.support_bound = bound
+        ens = ens.unsqueezed(fk.get_propagator(r, n_max), rows)
+    if keep_state:
+        rows = min(max(ens.support(mass_tol), 3), n_max) + 1
+    ens = ens.truncated(rows - 1)
+    diag.support_bound = rows - 1
     diag.branch_count = len(ens)
 
     rho = fk.project_through_loss(ens, cfg.eta2)
@@ -228,12 +249,11 @@ def _run_fock(
         )
     if not keep_state:
         return rho, diag, None
+    # the kept state's own pruning leaves the block, and dropped_mass, alone
     if cfg.eta2 < 1.0:
-        ens, dropped = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
-        diag.dropped_mass += dropped
+        ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
     if cfg.loss_on_a:
-        ens, dropped = fk.prune_branches(fk.loss_on_spectator(ens, cfg.eta2))
-        diag.dropped_mass += dropped
+        ens, _ = fk.prune_branches(fk.loss_on_spectator(ens, cfg.eta2))
     return rho, diag, ens
 
 

@@ -1,15 +1,14 @@
 """Homodyne detection of the final two-mode state.
 
-Joint quadrature statistics p(x_A, x_B | theta_A, theta_B) are available in
-closed form from two independent routes: phase-rotated Hermite-function
-wavefunctions summed over the branch mixture, or marginalization of the
-Wigner function along the rotated conjugate quadratures.  Sampling draws
-x_A from its exact marginal, a branch given x_A, then x_B from that branch's
-pure conditional.  Each CDF is a per-draw linear combination of cumulative
-tables built once per call (three basis rows for x_A, running branch sums,
-pair products phi_m phi_n for x_B), inverted by bisection over the grid
-index.  Blocks of samples get independent child seeds from the master seed,
-so records are reproducible bit-for-bit.
+Joint quadrature statistics p(x_A, x_B | theta_A, theta_B) are closed form
+on the Wigner function (``wigner.rotated_quadrature_pdf``) and, as the test
+oracle, on the branch mixture (phase-rotated Hermite wavefunctions).
+Sampling draws x_A from its exact marginal, a branch given x_A, then x_B
+from that branch's pure conditional.  Each CDF is a per-draw linear
+combination of cumulative tables built once per call (three basis rows for
+x_A, running branch sums, pair products phi_m phi_n for x_B), inverted by
+bisection over the grid index.  Blocks of samples get independent child
+seeds from the master seed, so records are reproducible bit-for-bit.
 
 Reconstruction maps quadrature samples to Fock-basis matrix elements with
 pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import dawsn
 
-from . import wigner as wg
 from .entanglement import ProjectedDensityMatrix, spin_flip_concurrence
 from .errors import IllConditionedError
 from .fock import BranchEnsemble
@@ -134,38 +132,6 @@ class TomographyRecord:
     def from_csv(cls, path) -> "TomographyRecord":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_csv_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# exact joint quadrature densities
-# ---------------------------------------------------------------------------
-
-
-def joint_pdf(state, theta_a: float, theta_b: float):
-    """Exact joint density p(x_A, x_B) of homodyne outcomes.
-
-    ``state`` is either the BranchEnsemble from the Fock engine or a
-    GaussianPolyWigner; the two routes agree pointwise.  Returns a callable
-    acting elementwise on broadcastable arrays.
-    """
-    if isinstance(state, wg.GaussianPolyWigner):
-        return wg.rotated_quadrature_pdf(state, theta_a, theta_b)
-    phases_b = np.exp(-1j * theta_b * np.arange(state.n_max + 1))[:, None]
-    u_rot, v_rot = phases_b * state.U, phases_b * state.V
-    phase_a = np.exp(-1j * theta_a)
-
-    def pdf(x_a, x_b):
-        xa, xb = np.broadcast_arrays(
-            np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
-        )
-        phi_a = hermite_functions(1, xa)
-        phi_b = hermite_functions(state.n_max, xb)
-        u_amp = np.tensordot(u_rot, phi_b, axes=(0, 0))  # (K,) + x shape
-        v_amp = np.tensordot(v_rot, phi_b, axes=(0, 0))
-        amp = phase_a * phi_a[1] * u_amp + phi_a[0] * v_amp
-        return np.tensordot(state.weights, np.abs(amp) ** 2, axes=1)
-
-    return pdf
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,20 @@ class GaussianPolyWigner:
             raise ValueError(
                 f"polynomial degree per variable is at most {MAX_DEGREE}, got {c.shape}"
             )
-        w.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "widths", w)
-        object.__setattr__(self, "coeffs", c)
+        self._freeze(w, c)
+
+    @classmethod
+    def _trusted(cls, widths: np.ndarray, coeffs: np.ndarray) -> "GaussianPolyWigner":
+        """An operation's output, built from a validated state: float widths
+        and complex coefficients, taken without the copy and the checks."""
+        W = object.__new__(cls)
+        W._freeze(widths, np.ascontiguousarray(coeffs))
+        return W
+
+    def _freeze(self, widths: np.ndarray, coeffs: np.ndarray) -> None:
+        widths.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degrees(self) -> tuple[int, int, int, int]:
@@ -173,6 +183,7 @@ _INITIAL_COEFFS = 0.5 * sum(
     for xa, xb in ((1, 0), (0, 1))
     for ya, yb in ((1, 0), (0, 1))
 )
+_INITIAL_COEFFS.flags.writeable = False
 
 
 def initial_wigner() -> GaussianPolyWigner:
@@ -181,7 +192,7 @@ def initial_wigner() -> GaussianPolyWigner:
     Inside the unit Gaussian this is [(2X_A^2 + 2P_A^2 - 1)
     + (2X_B^2 + 2P_B^2 - 1) + 4 X_A X_B + 4 P_A P_B] / (2 pi^2).
     """
-    return GaussianPolyWigner(widths=np.ones(4), coeffs=_INITIAL_COEFFS)
+    return GaussianPolyWigner._trusted(np.ones(4), _INITIAL_COEFFS)
 
 
 def squeeze_rescale(W: GaussianPolyWigner, r: float, sign: int = +1) -> GaussianPolyWigner:
@@ -200,7 +211,7 @@ def squeeze_rescale(W: GaussianPolyWigner, r: float, sign: int = +1) -> Gaussian
     w = np.array(W.widths)
     w[xb_axis] *= lam**2
     w[pb_axis] /= lam**2
-    return GaussianPolyWigner(widths=w, coeffs=c)
+    return GaussianPolyWigner._trusted(w, c)
 
 
 def _loss_matrix(gamma: float, size: int, eta: float) -> tuple[np.ndarray, float]:
@@ -239,7 +250,7 @@ def loss_convolve(W: GaussianPolyWigner, eta: float, mode: str = "B") -> Gaussia
     # the mode's two axes last, so both matrices act by one matmul each side
     order = (2, 3, 0, 1) if mode == "A" else (0, 1, 2, 3)
     c = mx @ W.coeffs.transpose(order) @ mp.T
-    return GaussianPolyWigner(widths=w, coeffs=c.transpose(order))
+    return GaussianPolyWigner._trusted(w, c.transpose(order))
 
 
 def _mode_kernel(W: GaussianPolyWigner, mode: str) -> np.ndarray:

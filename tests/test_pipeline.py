@@ -14,6 +14,8 @@ from micromacro import (
     solve_r_for_n,
     sweep,
 )
+from micromacro import fock as fk
+from micromacro import pipeline as pl
 from micromacro.pipeline import parse_kv_text
 
 R_FOR_N100 = 2.6516400776387327  # asinh(sqrt(99.5/2)), mpmath
@@ -121,6 +123,15 @@ class TestRun:
             assert np.abs(fused.rho_p.matrix - rebuilt.matrix).max() < 1e-10, r
             assert np.abs(fused.rho_p.matrix - res.rho_p.matrix).max() < 1e-10, r
 
+    def test_dropped_mass_ignores_the_kept_state(self):
+        # the kept ensemble is pruned again after the eta2 and spectator
+        # expansions; the block does not depend on that mass
+        cfg = ExperimentConfig(
+            r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock"
+        )
+        kept = run(cfg, keep_state=True).diagnostics.dropped_mass
+        assert kept == run(cfg).diagnostics.dropped_mass
+
     def test_keep_state_phase_space(self):
         res = run(ExperimentConfig(r=1.0, eta=0.9, engine="phase_space"), keep_state=True)
         assert res.final_wigner is not None
@@ -179,6 +190,41 @@ class TestRun:
         )
         assert with_a.rho_p.p10 < base.rho_p.p10
         assert with_a.rho_p.trace == pytest.approx(base.rho_p.trace, abs=1e-9)
+
+
+def _full_unsqueeze_block(cfg: ExperimentConfig) -> np.ndarray:
+    """The block through the whole un-squeezed ensemble: every row of the
+    inverse squeeze, then project_through_loss (the oracle of the row
+    projector)."""
+    r = cfg.resolved_r()
+    n_max = fk.choose_n_max(r, cfg.tail_tol)
+    ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
+    ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol))
+    prop = fk.get_propagator(r, n_max)
+    ens = fk.BranchEnsemble(
+        ens.weights, prop.apply_columns(ens.U, -1), prop.apply_columns(ens.V, -1)
+    )
+    block = np.array(fk.project_through_loss(ens, cfg.eta2).matrix)
+    if cfg.loss_on_a:
+        block = pl._attenuate_spectator_block(block, cfg.eta2)
+    return block
+
+
+class TestRowProjector:
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    @pytest.mark.parametrize("eta2", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("target_n", [1.0, 10.0, 100.0])
+    def test_matches_full_unsqueeze(self, target_n, eta2, loss_on_a):
+        cfg = ExperimentConfig(
+            target_n=target_n, eta1=0.95, eta=0.9, eta2=eta2,
+            loss_on_a=loss_on_a, engine="fock",
+        )
+        res = run(cfg)
+        assert np.abs(res.rho_p.matrix - _full_unsqueeze_block(cfg)).max() < 1e-13
+        if eta2 == 0.0:
+            assert res.diagnostics.support_bound == res.diagnostics.n_max
+        if eta2 == 1.0:
+            assert res.diagnostics.support_bound == 1
 
 
 class TestSweep:

@@ -19,19 +19,48 @@ from scipy.special import dawsn, eval_genlaguerre, gammaln
 from micromacro import (
     BranchEnsemble,
     ExperimentConfig,
+    GaussianPolyWigner,
     IllConditionedError,
     TomographyRecord,
     concurrence_with_uncertainty,
     hermite_functions,
-    joint_pdf,
     pattern_function,
     reconstruct,
+    rotated_quadrature_pdf,
     run,
     sample,
 )
 from micromacro.entanglement import spin_flip_concurrence
 
 from conftest import random_branches
+
+
+def joint_pdf(state, theta_a: float, theta_b: float):
+    """Oracle: exact joint density p(x_A, x_B) of homodyne outcomes.
+
+    ``state`` is a BranchEnsemble (phase-rotated Hermite-function
+    wavefunctions summed over the branch mixture) or a GaussianPolyWigner
+    (``rotated_quadrature_pdf``); the two routes agree pointwise.  Returns a
+    callable acting elementwise on broadcastable arrays.
+    """
+    if isinstance(state, GaussianPolyWigner):
+        return rotated_quadrature_pdf(state, theta_a, theta_b)
+    phases_b = np.exp(-1j * theta_b * np.arange(state.n_max + 1))[:, None]
+    u_rot, v_rot = phases_b * state.U, phases_b * state.V
+    phase_a = np.exp(-1j * theta_a)
+
+    def pdf(x_a, x_b):
+        xa, xb = np.broadcast_arrays(
+            np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+        )
+        phi_a = hermite_functions(1, xa)
+        phi_b = hermite_functions(state.n_max, xb)
+        u_amp = np.tensordot(u_rot, phi_b, axes=(0, 0))  # (K,) + x shape
+        v_amp = np.tensordot(v_rot, phi_b, axes=(0, 0))
+        amp = phase_a * phi_a[1] * u_amp + phi_a[0] * v_amp
+        return np.tensordot(state.weights, np.abs(amp) ** 2, axes=1)
+
+    return pdf
 
 
 def _two_mode_vacuum() -> BranchEnsemble:
