@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    entries = pl.sweep(cfg, args.axis, values, n_workers=args.workers)
+    entries = pl.sweep(cfg, args.axis, values)
     rows = [mio.ResultRow.from_result(e.result) for e in entries if e.result]
     text = mio.result_rows_csv_text(rows)
     for e in entries:
@@ -185,7 +185,7 @@ def _write_figure(args, name, base, axis, values, eta_values, filename) -> int:
     """Sweep ``axis`` once per mid-stage eta; any failed point aborts the figure."""
     rows = []
     for eta in eta_values:
-        for e in pl.sweep(replace(base, eta=eta), axis, values, n_workers=args.workers):
+        for e in pl.sweep(replace(base, eta=eta), axis, values):
             if e.error:
                 raise MicroMacroError(
                     f"{name} point {axis}={e.value}, eta={eta}: {e.error}"
@@ -222,8 +222,6 @@ def cmd_tomo(args) -> int:
     if cfg.engine in ("auto", "phase_space"):
         cfg = replace(cfg, engine="fock")
     result = pl.run(cfg, keep_state=True)
-    if result.final_branches is None:
-        raise MicroMacroError("tomography needs the Fock-engine state")
     record = tomo.sample(
         result.final_branches,
         n_samples=args.samples,
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.add_argument("--axis", choices=pl.SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -327,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3", help="concurrence and success probability vs n")
     p.add_argument("--grid-file", default=None, dest="grid_file")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("fig4", help="concurrence vs outer losses at n=100")
     p.add_argument("--grid-file", default=None, dest="grid_file")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_fig4)
 

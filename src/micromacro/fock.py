@@ -7,12 +7,14 @@ one ``BranchEnsemble``: rho = sum_k w_k |b_k><b_k| with
 amplitude stacks U, V of shape (n_max+1, K).  Arm B enters the squeezer in
 |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
-Every later stage acts on the whole stack at once: binomial photon-loss
-Kraus channels (vectorized over the Kraus order), pruning (a mask), the
-inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the projection onto the
-{0,1}x{0,1} block (one contraction).  After a trailing loss the block reads
-only the leading photon numbers (``projection_rows``), and a few leading
-rows of the inverse squeeze cost as many propagated unit columns.
+Every later stage acts on the whole stack at once: the binomial photon-loss
+Kraus channel (one pass over the Kraus order, each order vectorized over the
+branches still live), the spectator loss on arm A (a kept and a decayed
+branch each), pruning (a mask), the inverse squeeze unitary
+exp(-r (a^2 - a+^2)/2) and the projection onto the {0,1}x{0,1} block (one
+contraction).  After a trailing loss the block reads only the leading photon
+numbers (``projection_rows``), and a few leading rows of the inverse squeeze
+cost as many propagated unit columns.
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
@@ -341,38 +343,18 @@ def get_propagator(r: float, n_max: int) -> SqueezePropagator:
 # ---------------------------------------------------------------------------
 
 
-def _log_binomial(k, n, eta: float, log_fact: np.ndarray) -> np.ndarray:
-    """log(C(n, k) eta^(n-k) (1-eta)^k) for broadcastable k, n; -inf where
-    n < k.  At eta = 0 only n = k survives (E_k = |0><k|), with no log(0)."""
-    if eta == 0.0:
-        return np.where(n == k, 0.0, -np.inf)
-    kept = np.maximum(n - k, 0)
-    out = log_fact[np.maximum(n, k)] - log_fact[k] - log_fact[kept]
-    out = out + kept * math.log(eta) + k * math.log1p(-eta)
-    return np.where(n >= k, out, -np.inf)
-
-
-def _shifted_rows(a: np.ndarray, rows, shifts, fill: float) -> np.ndarray:
-    """out[j, m] = a[rows[j], m + shifts[j]], reading ``fill`` past the end
-    of a row (shifts stay below the row length)."""
-    n_rows, width = a.shape
-    padded = np.full((n_rows, 2 * width), fill, dtype=a.dtype)
-    padded[:, :width] = a
-    windows = np.lib.stride_tricks.sliding_window_view(padded.ravel(), width)
-    return windows[rows * 2 * width + shifts]
-
-
 def loss_on_branch(
     ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
     Branch b becomes branches k = 0..k_b, in branch-major order, with
-    columns E_k u_b and E_k v_b, where (E_k psi)[n-k] = sqrt(C(n, k)
-    eta^(n-k) (1-eta)^k) psi[n].  Each order k_b grows until the branch's
-    neglected trace falls below its share of ``tail_tol`` (its trace over the
-    ensemble's); k_b never exceeds the branch's top occupied photon number,
-    where the channel is captured exactly.
+    columns E_k u_b and E_k v_b, where (E_k psi)[m] = sqrt(C(m+k, k)
+    eta^m (1-eta)^k) psi[m+k] (E_k = |0><k| at eta = 0).  One pass over k
+    keeps the order-k images of the branches still live and subtracts their
+    traces; a branch retires at the first order whose neglected trace falls
+    below its share of ``tail_tol`` (its trace over the ensemble's), or at
+    its top occupied photon number, where the channel is captured exactly.
     """
     _check_eta(eta)
     if eta == 1.0:
@@ -385,36 +367,39 @@ def loss_on_branch(
     occupied = mass > 0
     top = np.where(occupied.any(axis=0), n_max - np.argmax(occupied[::-1], axis=0), 0)
 
-    # Kraus order per branch: the first k whose neglected trace is below tol,
-    # scanned in blocks of doubling size over one log-factorial table
     log_fact = gammaln(np.arange(n_max + 1, dtype=float) + 1.0)
-    ns = np.arange(n_max + 1)
-    orders = top.copy()
-    pending = np.ones(len(ens), dtype=bool)
-    blocks, cum = [], np.zeros(len(ens))
-    lo, width = 0, 64
-    while lo <= top.max() and pending.any():
-        ks = np.arange(lo, min(lo + width, int(top.max()) + 1))
-        blocks.append(_log_binomial(ks[:, None], ns, eta, log_fact))
-        run = cum + np.cumsum(ens.weights * (np.exp(blocks[-1]) @ mass), axis=0)
-        hit = (traces - run < tol) & (ks[:, None] <= top) & pending
-        found = hit.any(axis=0)
-        orders[found] = ks[np.argmax(hit, axis=0)[found]]
-        pending &= ~found
-        cum = run[-1]
-        lo, width = lo + width, 2 * width
+    m = np.arange(n_max + 1)
+    left = traces.copy()
+    orders = np.zeros(len(ens), dtype=int)
+    live = np.arange(len(ens))
+    images = []
+    for k in range(int(top.max()) + 1):
+        width = n_max + 1 - k
+        if eta == 0.0:
+            fac = np.zeros(width)
+            fac[0] = 1.0
+        else:
+            log_c = log_fact[k:] - log_fact[k] - log_fact[:width]
+            log_c = log_c + m[:width] * math.log(eta) + k * math.log1p(-eta)
+            fac = np.exp(0.5 * log_c)
+        u, v = fac[:, None] * ens.U[k:, live], fac[:, None] * ens.V[k:, live]
+        images.append((live, u, v))
+        left[live] -= ens.weights[live] * (_abs2(u).sum(axis=0) + _abs2(v).sum(axis=0))
+        done = (left[live] < tol[live]) | (top[live] == k)
+        orders[live[done]] = k
+        live = live[~done]
+        if not len(live):
+            break
 
-    # output column j is branch b_of[j] after losing k_of[j] photons: its row
-    # m is input row m+k times sqrt(C(m+k, k) eta^m (1-eta)^k)
-    counts = orders + 1
-    b_of = np.repeat(np.arange(len(ens)), counts)
-    k_of = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    fac = np.exp(0.5 * _shifted_rows(np.concatenate(blocks), k_of, k_of, -np.inf))
+    # order k of branch b is output row start[b] + k of the branch-major buffer
+    start = np.cumsum(orders + 1) - (orders + 1)
+    U = np.zeros((start[-1] + orders[-1] + 1, n_max + 1), np.result_type(ens.U, float))
+    V = np.zeros(U.shape, np.result_type(ens.V, float))
+    for k, (cols, u, v) in enumerate(images):
+        U[start[cols] + k, : len(u)] = u.T
+        V[start[cols] + k, : len(v)] = v.T
     return BranchEnsemble(
-        ens.weights[b_of],
-        (fac * _shifted_rows(ens.U.T, b_of, k_of, 0.0)).T,
-        (fac * _shifted_rows(ens.V.T, b_of, k_of, 0.0)).T,
-        tuple(int(o) for o in orders),
+        np.repeat(ens.weights, orders + 1), U.T, V.T, tuple(int(o) for o in orders)
     )
 
 

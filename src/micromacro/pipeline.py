@@ -4,18 +4,19 @@ A run takes the beam-splitter input state through transmission eta1, the
 squeezer, transmission eta, the inverse squeezer, transmission eta2 and the
 projection onto the {0,1}x{0,1} photon block, in either the truncated Fock
 engine, the closed-form phase-space engine, or both (cross-validated).
-Losses act on arm B; optionally the detection loss eta2 is mirrored onto the
-spectator arm A.  ``run`` decides once whether the squeezer pair acts at all
-(r > 0 and eta < 1; otherwise the squeezer and its inverse cancel) and hands
-that to both engines.  The Fock engine starts from the closed-form squeezed
-input and takes the block from ``project_through_loss``.  That block reads
-only the leading photon numbers after the eta2 loss (``projection_rows``),
-so a plain run un-squeezes only those rows.  With ``keep_state`` it
-un-squeezes the whole state, crops it at its support and also expands it
-through the eta2 loss for the tomography sampler.
+Losses act on arm B; optionally (``loss_on_a``) the detection loss eta2 is
+mirrored onto the spectator arm A.  ``run`` decides once whether the
+squeezer pair acts at all (r > 0 and eta < 1; otherwise the squeezer and its
+inverse cancel) and hands that to both engines.  The Fock engine starts from the closed-form squeezed
+input and takes the block from ``project_through_loss``, after
+``loss_on_spectator`` when ``loss_on_a`` is set.  That block reads only the
+leading photon numbers after the eta2 loss (``projection_rows``), so a plain
+run un-squeezes only those rows.  With ``keep_state`` it un-squeezes the
+whole state, crops it at its support and also expands it through the eta2
+loss (and the spectator loss) for the tomography sampler.
 
-All runs are pure functions of the configuration, so sweeps parallelize
-trivially and results are bit-stable for a given config on a given machine.
+All runs are pure functions of the configuration, so results are bit-stable
+for a given config on a given machine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,9 +38,6 @@ from .entanglement import (
 )
 
 ENGINES = ("auto", "fock", "phase_space", "both")
-
-#: mean photon number (n0+n1)/2 above which the auto engine picks phase_space
-AUTO_ENGINE_N_SWITCH = 30.0
 
 MIN_TARGET_N = 0.5
 
@@ -68,9 +65,9 @@ class ExperimentConfig:
     """One experiment point: squeeze strength, the three losses, and knobs.
 
     Exactly one of ``r`` / ``target_n`` must be set.  ``engine='auto'``
-    resolves to phase_space above n = 30 and fock below; 'both' runs the two
-    engines and records their elementwise disagreement.  ``seed`` only feeds
-    the tomography sampler.
+    resolves to phase_space, the production engine; 'fock' runs the
+    truncated Fock oracle, and 'both' runs the two engines and records their
+    elementwise disagreement.  ``seed`` only feeds the tomography sampler.
     """
 
     r: float | None = None
@@ -123,10 +120,7 @@ class ExperimentConfig:
         return self.r if self.r is not None else solve_r_for_n(self.target_n)
 
     def resolved_engine(self) -> str:
-        if self.engine != "auto":
-            return self.engine
-        _, _, n = amplified_mean_photons(self.resolved_r())
-        return "phase_space" if n > AUTO_ENGINE_N_SWITCH else "fock"
+        return "phase_space" if self.engine == "auto" else self.engine
 
 
 @dataclass
@@ -142,8 +136,9 @@ class EngineDiagnostics:
       run keeps.  Plain runs keep the rows the block reads after the eta2
       loss (1 at eta2 = 1, ``n_max`` at eta2 = 0); ``keep_state`` runs crop
       the whole state at its support.
-    - ``branch_count``: branches projected onto the block (the kept state
-      has more after its eta2 expansion).
+    - ``branch_count``: branches projected onto the block, before the
+      ``loss_on_a`` split (the kept state has more after its eta2
+      expansion).
     - ``disagreement``: largest elementwise gap between ``fock_matrix`` and
       ``phase_space_matrix`` (``engine="both"``).
     """
@@ -199,19 +194,6 @@ def _initial_ensemble(
     return fk.BranchEnsemble(np.ones(count), u, v)
 
 
-def _attenuate_spectator_block(matrix: np.ndarray, eta: float) -> np.ndarray:
-    """Loss channel on the two-level arm A applied to the projected block.
-
-    Arm A never leaves {0,1}, so the block transforms within itself:
-    amplitudes with one A photon scale by sqrt(eta) per side and the decayed
-    population lands in the zero-A sector.
-    """
-    scale = np.array([1.0, 1.0, math.sqrt(eta), math.sqrt(eta)])
-    out = matrix * np.outer(scale, scale)
-    out[0:2, 0:2] += (1.0 - eta) * matrix[2:4, 2:4]
-    return out
-
-
 def _run_fock(
     cfg: ExperimentConfig, r: float, squeeze: bool, keep_state: bool
 ) -> tuple[ProjectedDensityMatrix, EngineDiagnostics, fk.BranchEnsemble | None]:
@@ -242,11 +224,8 @@ def _run_fock(
     diag.support_bound = rows - 1
     diag.branch_count = len(ens)
 
-    rho = fk.project_through_loss(ens, cfg.eta2)
-    if cfg.loss_on_a:
-        rho = ProjectedDensityMatrix(
-            _attenuate_spectator_block(np.array(rho.matrix), cfg.eta2)
-        )
+    spectated = fk.loss_on_spectator(ens, cfg.eta2) if cfg.loss_on_a else ens
+    rho = fk.project_through_loss(spectated, cfg.eta2)
     if not keep_state:
         return rho, diag, None
     # the kept state's own pruning leaves the block, and dropped_mass, alone
@@ -352,14 +331,11 @@ def _config_at(base: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     raise ValueError(f"axis must be one of {SWEEP_AXES}")
 
 
-def sweep(
-    base: ExperimentConfig, axis: str, values, n_workers: int = 1
-) -> list[SweepEntry]:
+def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepEntry]:
     """Run one experiment per value, rows in input order, errors collected.
 
     Individual failures are recorded on their row and do not abort the
-    sweep.  Runs are independent and pure, so ``n_workers > 1`` fans out
-    over threads without changing the output.
+    sweep.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
@@ -373,9 +349,6 @@ def sweep(
         except Exception as exc:  # noqa: BLE001 - per-row error reporting
             return SweepEntry(value=value, error=f"{type(exc).__name__}: {exc}")
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(one, values))
     return [one(v) for v in values]
 
 

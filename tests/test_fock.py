@@ -307,6 +307,45 @@ class TestLossChannel:
                 assert np.abs(out.V[:, j] - e_k @ ens.V[:, b]).max() < 1e-14
                 assert out.weights[j] == ens.weights[b]
 
+    @pytest.mark.parametrize("tail_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
+    def test_orders_are_minimal(self, eta, tail_tol):
+        # branches that retire at different orders: a full complex column,
+        # one cut at row 5, a geometric tail, an all-zero column pair, a
+        # zero weight and a single photon in V
+        rng = np.random.default_rng(11)
+        dim = 12
+        U = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
+        V = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
+        U[6:, 1] = V[6:, 1] = 0.0
+        U[:, 2] *= 0.1 ** np.arange(dim)
+        V[:, 2] *= 0.1 ** np.arange(dim)
+        U[:, 3] = V[:, 3] = 0.0
+        U[:, 5], V[:, 5] = 0.0, _fock(2, dim - 1)
+        ens = BranchEnsemble([0.3, 0.2, 0.25, 0.1, 0.0, 0.15], U / 9.0, V / 9.0)
+        out = loss_on_branch(ens, eta, tail_tol)
+
+        total = ens.traces.sum()
+        start = 0
+        for b in range(len(ens)):
+            share = max(tail_tol * ens.traces[b] / total, 1e-300)
+            mass = np.abs(ens.U[:, b]) ** 2 + np.abs(ens.V[:, b]) ** 2
+            top = int(np.flatnonzero(mass)[-1]) if mass.any() else 0
+            images = []
+            for k in range(dim):
+                e_k = _dense_kraus(dim, k, eta)
+                images.append((e_k @ ens.U[:, b], e_k @ ens.V[:, b]))
+            per_order = [np.vdot(u, u).real + np.vdot(v, v).real for u, v in images]
+            neglected = ens.traces[b] - ens.weights[b] * np.cumsum(per_order)
+            below = [k for k in range(top) if neglected[k] < share]
+            assert out.kraus_orders[b] == (below[0] if below else top), b
+            for k in range(out.kraus_orders[b] + 1):
+                assert np.abs(out.U[:, start + k] - images[k][0]).max() < 1e-14
+                assert np.abs(out.V[:, start + k] - images[k][1]).max() < 1e-14
+                assert out.weights[start + k] == ens.weights[b]
+            start += out.kraus_orders[b] + 1
+        assert start == len(out)
+
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
         assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
