@@ -2,12 +2,12 @@
 
 One dynamical bosonic mode (arm B) is tracked on photon numbers 0..n_max,
 entangled with a two-level spectator (arm A).  The mixed two-mode state is
-one ``BranchEnsemble``: rho = sum_k w_k |b_k><b_k| with
-|b_k> = |1>_A (x) U[:, k] + |0>_A (x) V[:, k], held as weights (K,) and
-amplitude stacks U, V of shape (n_max+1, K).  Arm B enters the squeezer in
-|0> or |1> only, so the squeezed input is written from the closed-form
+one ``BranchEnsemble``: rho = sum_k |b_k><b_k| with |b_k> = sum_i |i>_A (x)
+amps[i, :, k], held as one amplitude array of shape (2, n_max+1, K) indexed
+by arm A's photon number, arm B's and the branch.  Arm B enters the squeezer
+in |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
-Every later stage acts on the whole stack at once: the binomial photon-loss
+Every later stage acts on the whole array at once: the binomial photon-loss
 Kraus channel (one pass over the Kraus order, each order vectorized over the
 branches still live), the spectator loss on arm A (a kept and a decayed
 branch each), pruning (a mask), the inverse squeeze unitary
@@ -58,55 +58,45 @@ def _check_eta(eta: float) -> None:
 
 @dataclass
 class BranchEnsemble:
-    """Weights (K,) and amplitude stacks U, V of shape (n_max+1, K).
+    """The Fock state as one amplitude array ``amps`` of shape (2, n_max+1, K).
 
-    Column k is the pure branch |1>_A (x) U[:, k] + |0>_A (x) V[:, k]; the
-    ensemble is rho = sum_k weights[k] |b_k><b_k|.  Kraus factors are folded
-    into the (sub-normalized) columns rather than the weights.  The pipeline
-    keeps U and V real; complex stacks are accepted everywhere.
-    ``kraus_orders`` records, per input branch, the highest Kraus order of
-    the loss expansion that produced the ensemble (empty otherwise).
+    Axis 0 is the photon number of arm A and axis 1 that of arm B, so column
+    k is the pure branch |b_k> = |1>_A (x) amps[1, :, k] + |0>_A (x)
+    amps[0, :, k] and the ensemble is rho = sum_k |b_k><b_k|.  Kraus factors
+    sit in the (sub-normalized) columns.  The pipeline keeps ``amps`` real;
+    complex arrays are accepted everywhere.  ``kraus_orders`` records, per
+    input branch, the highest Kraus order of the loss expansion that produced
+    the ensemble (empty otherwise).
     """
 
-    weights: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
+    amps: np.ndarray
     kraus_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.U = np.asarray(self.U)
-        self.V = np.asarray(self.V)
-        if self.U.ndim != 2 or self.U.shape != self.V.shape:
-            raise ValueError("U and V must be equal-shape (n_max+1, K) stacks")
-        if self.weights.shape != (self.U.shape[1],):
-            raise ValueError("one weight per branch column is required")
-        if np.any(self.weights < 0):
-            raise ValueError("branch weights must be nonnegative")
+        self.amps = np.asarray(self.amps)
+        if self.amps.ndim != 3 or self.amps.shape[0] != 2:
+            raise ValueError("amps must be a (2, n_max+1, K) array")
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return self.amps.shape[2]
 
     @property
     def n_max(self) -> int:
-        return self.U.shape[0] - 1
+        return self.amps.shape[1] - 1
 
     @cached_property
     def traces(self) -> np.ndarray:
-        """Trace contribution w_k (|u_k|^2 + |v_k|^2) of every branch."""
-        norms = np.einsum("nk,nk->k", self.U.conj(), self.U)
-        norms += np.einsum("nk,nk->k", self.V.conj(), self.V)
-        return self.weights * norms.real
+        """Trace contribution |b_k|^2 of every branch."""
+        return np.einsum("ank,ank->ak", self.amps.conj(), self.amps).real.sum(axis=0)
 
     def truncated(self, n_max: int) -> "BranchEnsemble":
-        """The same branches on photon numbers 0..n_max (views, no copy)."""
-        return BranchEnsemble(self.weights, self.U[: n_max + 1], self.V[: n_max + 1])
+        """The same branches on photon numbers 0..n_max (a view, no copy)."""
+        return BranchEnsemble(self.amps[:, : n_max + 1])
 
     def support(self, mass_tol: float) -> int:
         """Largest photon number from which the ensemble still carries more
         than ``mass_tol`` weight (1 when nothing does)."""
-        mass = np.einsum("nk,nk,k->n", self.U.conj(), self.U, self.weights)
-        mass += np.einsum("nk,nk,k->n", self.V.conj(), self.V, self.weights)
+        mass = np.einsum("ank,ank->n", self.amps.conj(), self.amps)
         suffix = np.cumsum(mass.real[::-1])[::-1]
         idx = np.flatnonzero(suffix > mass_tol)
         return int(idx[-1]) if len(idx) else 1
@@ -115,13 +105,13 @@ class BranchEnsemble:
         """Photon numbers 0..rows-1 of the image under the inverse squeeze of
         ``prop``.  The squeeze S is real orthogonal, so those rows of
         S^-1 = S^T are the forward images of the first ``rows`` unit columns:
-        one propagator call on ``rows`` columns and one product per stack.
-        Asked for every row, it propagates the stacks themselves."""
+        one propagator call on ``rows`` columns and one product.  Asked for
+        every row, it propagates the columns of each arm-A half."""
         if rows > self.n_max:
-            U, V = prop.apply_columns(self.U, -1), prop.apply_columns(self.V, -1)
-            return BranchEnsemble(self.weights, U, V)
+            halves = [prop.apply_columns(a, -1) for a in self.amps]
+            return BranchEnsemble(np.stack(halves))
         head = prop.apply_columns(np.eye(self.n_max + 1, rows), +1).T
-        return BranchEnsemble(self.weights, head @ self.U, head @ self.V)
+        return BranchEnsemble(head @ self.amps)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +338,20 @@ def loss_on_branch(
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
-    Branch b becomes branches k = 0..k_b, in branch-major order, with
-    columns E_k u_b and E_k v_b, where (E_k psi)[m] = sqrt(C(m+k, k)
-    eta^m (1-eta)^k) psi[m+k] (E_k = |0><k| at eta = 0).  One pass over k
-    keeps the order-k images of the branches still live and subtracts their
-    traces; a branch retires at the first order whose neglected trace falls
-    below its share of ``tail_tol`` (its trace over the ensemble's), or at
-    its top occupied photon number, where the channel is captured exactly.
+    Branch b becomes branches k = 0..k_b, in branch-major order, with both
+    arm-A halves mapped by (E_k psi)[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
+    psi[m+k] (at eta = 0, E_k = |0><k|: the image is row k alone).  One pass
+    over k keeps the order-k images of the branches still live and subtracts
+    their traces; a branch retires at the first order whose neglected trace
+    falls below its share of ``tail_tol`` (its trace over the ensemble's), or
+    at its top occupied photon number, where the channel is captured exactly.
     """
     _check_eta(eta)
     if eta == 1.0:
         return ens
     n_max = ens.n_max
-    mass = _abs2(ens.U) + _abs2(ens.V)  # (N, K), unweighted
-    traces = ens.weights * mass.sum(axis=0)
+    mass = _abs2(ens.amps).sum(axis=0)  # (N, K)
+    traces = mass.sum(axis=0)
     total = traces.sum()
     tol = np.maximum(tail_tol * (traces / total if total > 0 else 1.0), 1e-300)
     occupied = mass > 0
@@ -374,33 +364,28 @@ def loss_on_branch(
     live = np.arange(len(ens))
     images = []
     for k in range(int(top.max()) + 1):
-        width = n_max + 1 - k
         if eta == 0.0:
-            fac = np.zeros(width)
-            fac[0] = 1.0
+            img = ens.amps[:, k : k + 1, live]
         else:
+            width = n_max + 1 - k
             log_c = log_fact[k:] - log_fact[k] - log_fact[:width]
             log_c = log_c + m[:width] * math.log(eta) + k * math.log1p(-eta)
-            fac = np.exp(0.5 * log_c)
-        u, v = fac[:, None] * ens.U[k:, live], fac[:, None] * ens.V[k:, live]
-        images.append((live, u, v))
-        left[live] -= ens.weights[live] * (_abs2(u).sum(axis=0) + _abs2(v).sum(axis=0))
+            img = np.exp(0.5 * log_c)[:, None] * ens.amps[:, k:, live]
+        images.append((live, img))
+        left[live] -= _abs2(img).sum(axis=1).sum(axis=0)
         done = (left[live] < tol[live]) | (top[live] == k)
         orders[live[done]] = k
         live = live[~done]
         if not len(live):
             break
 
-    # order k of branch b is output row start[b] + k of the branch-major buffer
+    # order k of branch b is column start[b] + k of the branch-major buffer
     start = np.cumsum(orders + 1) - (orders + 1)
-    U = np.zeros((start[-1] + orders[-1] + 1, n_max + 1), np.result_type(ens.U, float))
-    V = np.zeros(U.shape, np.result_type(ens.V, float))
-    for k, (cols, u, v) in enumerate(images):
-        U[start[cols] + k, : len(u)] = u.T
-        V[start[cols] + k, : len(v)] = v.T
-    return BranchEnsemble(
-        np.repeat(ens.weights, orders + 1), U.T, V.T, tuple(int(o) for o in orders)
-    )
+    n_out = start[-1] + orders[-1] + 1
+    out = np.zeros((2, n_out, n_max + 1), np.result_type(ens.amps, float))
+    for k, (cols, img) in enumerate(images):
+        out[:, start[cols] + k, : img.shape[1]] = img.transpose(0, 2, 1)
+    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders))
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
@@ -411,14 +396,11 @@ def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
     _check_eta(eta)
     if eta == 1.0:
         return ens
-    n_rows, count = ens.U.shape
-    U = np.stack([math.sqrt(eta) * ens.U, np.zeros_like(ens.U)], axis=2)
-    V = np.stack([ens.V, math.sqrt(1.0 - eta) * ens.U], axis=2)
-    return BranchEnsemble(
-        np.repeat(ens.weights, 2),
-        U.reshape(n_rows, 2 * count),
-        V.reshape(n_rows, 2 * count),
-    )
+    out = np.zeros(ens.amps.shape + (2,), np.result_type(ens.amps, float))
+    out[0, :, :, 0] = ens.amps[0]
+    out[1, :, :, 0] = math.sqrt(eta) * ens.amps[1]
+    out[0, :, :, 1] = math.sqrt(1.0 - eta) * ens.amps[1]
+    return BranchEnsemble(out.reshape(2, ens.n_max + 1, -1))
 
 
 def prune_branches(
@@ -429,7 +411,7 @@ def prune_branches(
     keep = traces >= threshold
     dropped = float(traces[~keep].sum())
     if not keep.all():
-        ens = BranchEnsemble(ens.weights[keep], ens.U[:, keep], ens.V[:, keep])
+        ens = BranchEnsemble(ens.amps[:, :, keep])
     return ens, dropped
 
 
@@ -441,13 +423,13 @@ def prune_branches(
 def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
     """Accumulate the unnormalized 4x4 block from the branch ensemble.
 
-    For |b> = |1>_A u + |0>_A v the block coefficients in basis order
-    (|00>, |01>, |10>, |11>) are (v[0], v[1], u[0], u[1]); the matrix is the
-    weight-summed outer product, so d = sum_k w_k u_k[0] v_k[1]^* lands at
-    position [2, 1].
+    Rows 0 and 1 of both arm-A halves, ``amps[:, :2]`` flattened, are the
+    block coefficients in basis order (|00>, |01>, |10>, |11>) = 2 i_A + j_B;
+    the matrix is the sum of their outer products, so d = sum_k
+    amps[1, 0, k] amps[0, 1, k]^* lands at position [2, 1].
     """
-    c = np.stack([ens.V[0], ens.V[1], ens.U[0], ens.U[1]])  # (4, K)
-    return ProjectedDensityMatrix((c * ens.weights) @ c.conj().T)
+    c = ens.amps[:, :2].reshape(4, len(ens))
+    return ProjectedDensityMatrix(c @ c.conj().T)
 
 
 def projection_rows(eta: float, n_max: int, mass_tol: float) -> int:
@@ -479,15 +461,10 @@ def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMat
     _check_eta(eta)
     n = np.arange(ens.n_max + 1, dtype=float)
     half = np.power(1.0 - eta, n / 2.0)[:, None]
-    U, V = ens.U, ens.V
     t1 = np.sqrt(eta * (n[:-1] + 1.0))[:, None] * half[:-1]
-    # rows in basis order (0,0), (0,1), (1,0), (1,1) = (i_A, j_B), each
-    # scaled by sqrt(w) so the block is one Gram contraction
-    rows = np.zeros((4,) + U.shape, dtype=U.dtype)
-    rows[0] = half * V
-    rows[1, :-1] = t1 * V[1:]
-    rows[2] = half * U
-    rows[3, :-1] = t1 * U[1:]
-    rows *= np.sqrt(ens.weights)
-    block = np.tensordot(rows, rows.conj(), axes=([1, 2], [1, 2]))
-    return ProjectedDensityMatrix(block)
+    # rows in basis order 2 i_A + j_B, so the block is one Gram contraction
+    rows = np.zeros((2, 2) + ens.amps.shape[1:], dtype=ens.amps.dtype)
+    rows[:, 0] = half * ens.amps
+    rows[:, 1, :-1] = t1 * ens.amps[:, 1:]
+    block = np.tensordot(rows, rows.conj(), axes=([2, 3], [2, 3]))
+    return ProjectedDensityMatrix(block.reshape(4, 4))

@@ -7,13 +7,15 @@ engine, the closed-form phase-space engine, or both (cross-validated).
 Losses act on arm B; optionally (``loss_on_a``) the detection loss eta2 is
 mirrored onto the spectator arm A.  ``run`` decides once whether the
 squeezer pair acts at all (r > 0 and eta < 1; otherwise the squeezer and its
-inverse cancel) and hands that to both engines.  The Fock engine starts from the closed-form squeezed
-input and takes the block from ``project_through_loss``, after
-``loss_on_spectator`` when ``loss_on_a`` is set.  That block reads only the
-leading photon numbers after the eta2 loss (``projection_rows``), so a plain
-run un-squeezes only those rows.  With ``keep_state`` it un-squeezes the
-whole state, crops it at its support and also expands it through the eta2
-loss (and the spectator loss) for the tomography sampler.
+inverse cancel) and hands that to both engines.  The Fock engine holds the
+state as one (2, n_max+1, K) amplitude array (``BranchEnsemble``), starts it
+from the closed-form squeezed input and takes the block from
+``project_through_loss``, after ``loss_on_spectator`` when ``loss_on_a`` is
+set.  That block reads only the leading photon numbers after the eta2 loss
+(``projection_rows``), so a plain run un-squeezes only those rows.  With
+``keep_state`` it un-squeezes the whole state, crops it at its support and
+also expands it through the eta2 loss (and the spectator loss) for the
+tomography sampler.
 
 All runs are pure functions of the configuration, so results are bit-stable
 for a given config on a given machine.
@@ -97,6 +99,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
+        if not isinstance(self.loss_on_a, (bool, np.bool_)):
+            raise ValueError(f"loss_on_a must be a bool, got {self.loss_on_a!r}")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -184,14 +188,12 @@ def _initial_ensemble(
     """
     half = 1.0 / math.sqrt(2.0)
     s0 = fk.squeezed_vacuum(r, n_max, tail_tol)
-    count = 1 if eta1 == 1.0 else 2
-    u = np.zeros((n_max + 1, count))
-    v = np.zeros((n_max + 1, count))
-    u[:, 0] = half * s0
-    v[:, 0] = half * math.sqrt(eta1) * fk.squeezed_one(r, n_max, tail_tol)
-    if count == 2:
-        v[:, 1] = half * math.sqrt(1.0 - eta1) * s0
-    return fk.BranchEnsemble(np.ones(count), u, v)
+    amps = np.zeros((2, n_max + 1, 1 if eta1 == 1.0 else 2))
+    amps[1, :, 0] = half * s0
+    amps[0, :, 0] = half * math.sqrt(eta1) * fk.squeezed_one(r, n_max, tail_tol)
+    if eta1 < 1.0:
+        amps[0, :, 1] = half * math.sqrt(1.0 - eta1) * s0
+    return fk.BranchEnsemble(amps)
 
 
 def _run_fock(

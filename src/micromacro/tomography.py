@@ -3,8 +3,9 @@
 Joint quadrature statistics p(x_A, x_B | theta_A, theta_B) are closed form
 on the Wigner function (``wigner.rotated_quadrature_pdf``) and, as the test
 oracle, on the branch mixture (phase-rotated Hermite wavefunctions).
-Sampling draws x_A from its exact marginal, a branch given x_A, then x_B
-from that branch's pure conditional.  Each CDF is a per-draw linear
+Sampling reads the arm-A halves u_k = amps[1, :, k] and v_k = amps[0, :, k]
+of the Fock state and draws x_A from its exact marginal, a branch given x_A,
+then x_B from that branch's pure conditional.  Each CDF is a per-draw linear
 combination of cumulative tables built once per call (three basis rows for
 x_A, running branch sums, pair products phi_m phi_n for x_B), inverted by
 bisection over the grid index.  Blocks of samples get independent child
@@ -213,16 +214,15 @@ def sample(
         raise ValueError("empty branch ensemble")
     support = state.support(1e-12)
     m_dim = support + 1
-    u_mat = np.ascontiguousarray(state.U[:m_dim].T)  # (K, M)
-    v_mat = np.ascontiguousarray(state.V[:m_dim].T)
+    u_mat, v_mat = np.ascontiguousarray(state.amps[::-1, :m_dim].transpose(0, 2, 1))
     zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)  # <v_k|u_k>
-    # branch k carries w_k ||f1 u_k + f0 v_k||^2, the features
-    # (phi1^2, phi0^2, 2 phi0 phi1 cos th_A, 2 phi0 phi1 sin th_A) of a draw
-    # times w_k (|u_k|^2, |v_k|^2, Re zeta_k, Im zeta_k); row k + 1 of
+    # branch k (row k of each (K, M) half) carries ||f1 u_k + f0 v_k||^2, the
+    # features (phi1^2, phi0^2, 2 phi0 phi1 cos th_A, 2 phi0 phi1 sin th_A) of
+    # a draw times (|u_k|^2, |v_k|^2, Re zeta_k, Im zeta_k); row k + 1 of
     # branch_cum sums those weights over branches 0..k
     norms = [np.einsum("km,km->k", s.conj(), s).real for s in (u_mat, v_mat)]
-    weighted = state.weights[:, None] * np.stack(norms + [zeta.real, zeta.imag], 1)
-    branch_cum = np.cumsum(np.vstack([np.zeros(4), weighted]), axis=0)
+    per_branch = np.stack(norms + [zeta.real, zeta.imag], 1)
+    branch_cum = np.cumsum(np.vstack([np.zeros(4), per_branch]), axis=0)
     a_tot, b_tot, zeta_re, zeta_im = branch_cum[-1]
 
     # arm A: the two-level marginal a phi1^2 + b phi0^2 + 2 c phi0 phi1 is a

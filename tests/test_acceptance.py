@@ -266,11 +266,10 @@ def test_criterion_11_channel_algebra():
     u = rng.normal(size=12)
     v = rng.normal(size=12)
     scale = math.sqrt(u @ u + v @ v) * 1.2
-    branch = BranchEnsemble([1.0], (u / scale)[:, None], (v / scale)[:, None])
+    branch = BranchEnsemble((np.stack([v, u]) / scale)[:, :, None])
 
     def reduced(ens):
-        w = ens.weights
-        return (ens.U * w) @ ens.U.conj().T + (ens.V * w) @ ens.V.conj().T
+        return sum(a @ a.conj().T for a in ens.amps[::-1])
 
     exact = dict(tail_tol=1e-30)
     step_ab = loss_on_branch(loss_on_branch(branch, 0.9, **exact), 0.8, **exact)

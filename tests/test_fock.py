@@ -161,7 +161,7 @@ class TestSqueezePropagator:
     def test_complex_stack_splits_into_parts(self):
         rng = np.random.default_rng(3)
         ens = random_branches(rng, count=4, dim=12)
-        stack = np.concatenate([ens.U, ens.V], axis=1)
+        stack = np.concatenate([ens.amps[1], ens.amps[0]], axis=1)
         prop = SqueezePropagator(0.6, 11)
         for sign in (+1, -1):
             whole = prop.apply_columns(stack, sign)
@@ -232,12 +232,11 @@ def _channel(rho: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _reduced_dm(ens) -> np.ndarray:
-    w = ens.weights
-    return (ens.U * w) @ ens.U.conj().T + (ens.V * w) @ ens.V.conj().T
+    return sum(a @ a.conj().T for a in ens.amps[::-1])
 
 
-def _single(u, v, weight=1.0) -> BranchEnsemble:
-    return BranchEnsemble([weight], np.asarray(u)[:, None], np.asarray(v)[:, None])
+def _single(u, v) -> BranchEnsemble:
+    return BranchEnsemble(np.stack([v, u])[:, :, None])
 
 
 class TestLossChannel:
@@ -250,8 +249,8 @@ class TestLossChannel:
         out = loss_on_branch(_single(_fock(1, 4), np.zeros(5)), 0.9)
         assert len(out) == 2
         assert out.kraus_orders == (1,)
-        assert out.U[1, 0] == pytest.approx(math.sqrt(0.9))
-        assert out.U[0, 1] == pytest.approx(math.sqrt(0.1))
+        assert out.amps[1, 1, 0] == pytest.approx(math.sqrt(0.9))
+        assert out.amps[1, 0, 1] == pytest.approx(math.sqrt(0.1))
         rho = _reduced_dm(out)
         assert rho[1, 1] == pytest.approx(0.9)
         assert rho[0, 0] == pytest.approx(0.1)
@@ -288,8 +287,8 @@ class TestLossChannel:
             warnings.simplefilter("error")  # no log(0) in the Kraus table
             out = loss_on_branch(_single(_fock(3, 5), np.zeros(6)), 0.0)
         # E_k = |0><k|: only the k = 3 image survives, moved to vacuum
-        assert np.abs(out.U[1:]).max() == 0.0
-        assert np.flatnonzero(out.U[0]).tolist() == [3]
+        assert np.abs(out.amps[1, 1:]).max() == 0.0
+        assert np.flatnonzero(out.amps[1, 0]).tolist() == [3]
         rho = _reduced_dm(out)
         assert rho[0, 0] == pytest.approx(1.0)
         assert np.abs(rho - np.diag(np.diag(rho))).max() == 0.0
@@ -303,16 +302,15 @@ class TestLossChannel:
             for k in range(9):
                 e_k = _dense_kraus(9, k, 0.7)
                 j = 9 * b + k
-                assert np.abs(out.U[:, j] - e_k @ ens.U[:, b]).max() < 1e-14
-                assert np.abs(out.V[:, j] - e_k @ ens.V[:, b]).max() < 1e-14
-                assert out.weights[j] == ens.weights[b]
+                assert np.abs(out.amps[1, :, j] - e_k @ ens.amps[1, :, b]).max() < 1e-14
+                assert np.abs(out.amps[0, :, j] - e_k @ ens.amps[0, :, b]).max() < 1e-14
 
     @pytest.mark.parametrize("tail_tol", [1e-6, 1e-10])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
     def test_orders_are_minimal(self, eta, tail_tol):
         # branches that retire at different orders: a full complex column,
-        # one cut at row 5, a geometric tail, an all-zero column pair, a
-        # zero weight and a single photon in V
+        # one cut at row 5, a geometric tail, an all-zero column pair, one
+        # scaled by a zero weight and a single photon in V
         rng = np.random.default_rng(11)
         dim = 12
         U = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
@@ -322,35 +320,62 @@ class TestLossChannel:
         V[:, 2] *= 0.1 ** np.arange(dim)
         U[:, 3] = V[:, 3] = 0.0
         U[:, 5], V[:, 5] = 0.0, _fock(2, dim - 1)
-        ens = BranchEnsemble([0.3, 0.2, 0.25, 0.1, 0.0, 0.15], U / 9.0, V / 9.0)
+        weights = [0.3, 0.2, 0.25, 0.1, 0.0, 0.15]
+        ens = BranchEnsemble(np.stack([V, U]) / 9.0 * np.sqrt(weights))
         out = loss_on_branch(ens, eta, tail_tol)
 
         total = ens.traces.sum()
         start = 0
         for b in range(len(ens)):
             share = max(tail_tol * ens.traces[b] / total, 1e-300)
-            mass = np.abs(ens.U[:, b]) ** 2 + np.abs(ens.V[:, b]) ** 2
+            mass = np.abs(ens.amps[1, :, b]) ** 2 + np.abs(ens.amps[0, :, b]) ** 2
             top = int(np.flatnonzero(mass)[-1]) if mass.any() else 0
             images = []
             for k in range(dim):
                 e_k = _dense_kraus(dim, k, eta)
-                images.append((e_k @ ens.U[:, b], e_k @ ens.V[:, b]))
+                images.append((e_k @ ens.amps[1, :, b], e_k @ ens.amps[0, :, b]))
             per_order = [np.vdot(u, u).real + np.vdot(v, v).real for u, v in images]
-            neglected = ens.traces[b] - ens.weights[b] * np.cumsum(per_order)
+            neglected = ens.traces[b] - np.cumsum(per_order)
             below = [k for k in range(top) if neglected[k] < share]
             assert out.kraus_orders[b] == (below[0] if below else top), b
             for k in range(out.kraus_orders[b] + 1):
-                assert np.abs(out.U[:, start + k] - images[k][0]).max() < 1e-14
-                assert np.abs(out.V[:, start + k] - images[k][1]).max() < 1e-14
-                assert out.weights[start + k] == ens.weights[b]
+                assert np.abs(out.amps[1, :, start + k] - images[k][0]).max() < 1e-14
+                assert np.abs(out.amps[0, :, start + k] - images[k][1]).max() < 1e-14
             start += out.kraus_orders[b] + 1
         assert start == len(out)
 
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
         assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
-        assert out.U[0, 0] == pytest.approx(math.sqrt(0.8) / math.sqrt(2))
-        assert out.V[0, 1] == pytest.approx(math.sqrt(0.2) / math.sqrt(2))
+        assert out.amps[1, 0, 0] == pytest.approx(math.sqrt(0.8) / math.sqrt(2))
+        assert out.amps[0, 0, 1] == pytest.approx(math.sqrt(0.2) / math.sqrt(2))
+
+    def test_spectator_order_on_many_branches(self):
+        # branch b becomes columns 2b (kept) and 2b + 1 (decayed); the
+        # sampler's branch choice, and so every seeded record, reads that order
+        eta = 0.7
+        ens = random_branches(np.random.default_rng(21), count=4, dim=6)
+        out = loss_on_spectator(ens, eta)
+        assert len(out) == 2 * len(ens)
+        v, u = ens.amps
+        kept = np.stack([v, math.sqrt(eta) * u])
+        decayed = np.stack([math.sqrt(1.0 - eta) * u, np.zeros_like(u)])
+        assert np.abs(out.amps[:, :, 0::2] - kept).max() < 1e-15
+        assert np.abs(out.amps[:, :, 1::2] - decayed).max() < 1e-15
+
+        # the two-mode state against the dense amplitude-damping channel on A
+        dim = ens.n_max + 1
+        kraus = [
+            np.kron(np.diag([1.0, math.sqrt(eta)]), np.eye(dim)),
+            np.kron([[0.0, math.sqrt(1.0 - eta)], [0.0, 0.0]], np.eye(dim)),
+        ]
+
+        def two_mode(e):
+            b = e.amps.reshape(2 * dim, len(e))  # index i_A * dim + j_B
+            return b @ b.conj().T
+
+        oracle = sum(k @ two_mode(ens) @ k.T for k in kraus)
+        assert np.abs(two_mode(out) - oracle).max() < 1e-14
 
 
 class TestEnsemble:
@@ -361,30 +386,30 @@ class TestEnsemble:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            BranchEnsemble([1.0, 1.0], np.zeros((3, 1)), np.zeros((3, 1)))
+            BranchEnsemble(np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            BranchEnsemble([1.0], np.zeros((3, 1)), np.zeros((4, 1)))
+            BranchEnsemble(np.zeros((3, 4, 1)))
         with pytest.raises(ValueError):
-            BranchEnsemble([-1.0], np.zeros((3, 1)), np.zeros((3, 1)))
+            BranchEnsemble(np.zeros((1, 2, 4, 1)))
+        assert BranchEnsemble(np.zeros((2, 4, 0))).n_max == 3
 
     def test_support_is_weighted_suffix_scan(self):
-        u = np.zeros((8, 2))
-        v = np.zeros((8, 2))
-        u[2, 0] = 1.0
-        v[5, 1] = 1e-4  # mass 1e-8 * weight 0.5
-        ens = BranchEnsemble([1.0, 0.5], u, v)
+        amps = np.zeros((2, 8, 2))
+        amps[1, 2, 0] = 1.0
+        amps[0, 5, 1] = 1e-4 * math.sqrt(0.5)  # mass 1e-8 * weight 0.5
+        ens = BranchEnsemble(amps)
         assert ens.support(1e-12) == 5
         assert ens.support(1e-6) == 2
         assert ens.support(10.0) == 1  # nothing above the tolerance
 
     def test_prune_is_a_mask(self):
-        u = np.zeros((3, 3))
-        u[0] = [1.0, 1e-8, 0.5]
-        ens = BranchEnsemble([1.0, 1.0, 1.0], u, np.zeros((3, 3)))
+        amps = np.zeros((2, 3, 3))
+        amps[1, 0] = [1.0, 1e-8, 0.5]
+        ens = BranchEnsemble(amps)
         kept, dropped = prune_branches(ens)
         assert len(kept) == 2
         assert dropped == pytest.approx(1e-16)
-        assert np.array_equal(kept.U[0], [1.0, 0.5])
+        assert np.array_equal(kept.amps[1, 0], [1.0, 0.5])
 
 
 class TestProjection:

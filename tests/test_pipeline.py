@@ -55,6 +55,14 @@ class TestConfig:
                 ExperimentConfig(r=1.0, seed=bad).validate()
         ExperimentConfig(r=1.0, seed=np.int64(3)).validate()
 
+    def test_loss_on_a_must_be_bool(self):
+        # a truthy string would otherwise run with arm-A loss on
+        for bad in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError, match="^loss_on_a must be a bool"):
+                ExperimentConfig(r=1.0, loss_on_a=bad).validate()
+        for good in (True, False, np.bool_(True)):
+            ExperimentConfig(r=1.0, loss_on_a=good).validate()
+
     @pytest.mark.parametrize(
         "field", ["r", "target_n", "eta1", "eta", "eta2", "tail_tol"]
     )
@@ -202,9 +210,7 @@ def _full_unsqueeze_block(cfg: ExperimentConfig) -> np.ndarray:
     ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
     ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol))
     prop = fk.get_propagator(r, n_max)
-    ens = fk.BranchEnsemble(
-        ens.weights, prop.apply_columns(ens.U, -1), prop.apply_columns(ens.V, -1)
-    )
+    ens = fk.BranchEnsemble(np.stack([prop.apply_columns(a, -1) for a in ens.amps]))
     block = np.array(fk.project_through_loss(ens, cfg.eta2).matrix)
     if cfg.loss_on_a:
         # arm A never leaves {0, 1}: its photon's amplitudes scale by

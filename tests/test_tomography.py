@@ -46,7 +46,7 @@ def joint_pdf(state, theta_a: float, theta_b: float):
     if isinstance(state, GaussianPolyWigner):
         return rotated_quadrature_pdf(state, theta_a, theta_b)
     phases_b = np.exp(-1j * theta_b * np.arange(state.n_max + 1))[:, None]
-    u_rot, v_rot = phases_b * state.U, phases_b * state.V
+    v_rot, u_rot = phases_b * state.amps
     phase_a = np.exp(-1j * theta_a)
 
     def pdf(x_a, x_b):
@@ -58,13 +58,13 @@ def joint_pdf(state, theta_a: float, theta_b: float):
         u_amp = np.tensordot(u_rot, phi_b, axes=(0, 0))  # (K,) + x shape
         v_amp = np.tensordot(v_rot, phi_b, axes=(0, 0))
         amp = phase_a * phi_a[1] * u_amp + phi_a[0] * v_amp
-        return np.tensordot(state.weights, np.abs(amp) ** 2, axes=1)
+        return np.sum(np.abs(amp) ** 2, axis=0)
 
     return pdf
 
 
 def _two_mode_vacuum() -> BranchEnsemble:
-    return BranchEnsemble([1.0], [[0.0], [0.0]], [[1.0], [0.0]])
+    return BranchEnsemble([[[1.0], [0.0]], [[0.0], [0.0]]])
 
 
 def _pipeline_state() -> BranchEnsemble:
@@ -77,8 +77,9 @@ def _pipeline_state() -> BranchEnsemble:
 
 def _complex_state() -> BranchEnsemble:
     """Complex branches (Im <v|u> != 0), one of them with zero weight."""
-    ens = random_branches(np.random.default_rng(3), count=5, dim=8)
-    return BranchEnsemble([0.3, 0.0, 0.2, 0.4, 0.1], ens.U, ens.V)
+    return random_branches(
+        np.random.default_rng(3), count=5, dim=8, weights=[0.3, 0.0, 0.2, 0.4, 0.1]
+    )
 
 
 def _high_support_state() -> BranchEnsemble:
@@ -86,7 +87,7 @@ def _high_support_state() -> BranchEnsemble:
     keeps its pair table at every other grid point only."""
     rng = np.random.default_rng(4)
     amps = rng.normal(size=(2, 96, 1)) * np.exp(-np.arange(96) / 60.0)[:, None]
-    return BranchEnsemble([1.0], *(amps / np.linalg.norm(amps)))
+    return BranchEnsemble((amps / np.linalg.norm(amps))[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +126,14 @@ def _reference_sample(state, n_samples, phase_policy, seed):
     a (draws, grid) complex amplitude table for x_B."""
     support = state.support(1e-12)
     m_dim = support + 1
-    weights = state.weights
-    u_mat = np.ascontiguousarray(state.U[:m_dim].T)
-    v_mat = np.ascontiguousarray(state.V[:m_dim].T)
+    u_mat = np.ascontiguousarray(state.amps[1, :m_dim].T)
+    v_mat = np.ascontiguousarray(state.amps[0, :m_dim].T)
     nu = np.einsum("km,km->k", u_mat.conj(), u_mat).real
     nv = np.einsum("km,km->k", v_mat.conj(), v_mat).real
     zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)
-    a_tot = float(np.sum(weights * nu))
-    b_tot = float(np.sum(weights * nv))
-    zeta_tot = complex(np.sum(weights * zeta))
+    a_tot = float(np.sum(nu))
+    b_tot = float(np.sum(nv))
+    zeta_tot = complex(np.sum(zeta))
 
     grid_a = np.linspace(-8.0, 8.0, 1601)
     phi_a_grid = hermite_functions(1, grid_a)
@@ -169,7 +169,7 @@ def _reference_sample(state, n_samples, phase_policy, seed):
         phi_a = hermite_functions(1, x_a)
         f1 = np.exp(-1j * th_a) * phi_a[1]
         f0 = phi_a[0]
-        qk = weights[:, None] * (
+        qk = (
             np.abs(f1[None, :]) ** 2 * nu[:, None]
             + f0[None, :] ** 2 * nv[:, None]
             + 2.0 * (f0 * phi_a[1])[None, :]
