@@ -53,27 +53,19 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _merge_config(args) -> pl.ExperimentConfig:
-    # the file may leave the strength to the flags, so its fields are checked
-    # only once merged
-    fields = {}
+    """One mapping, later sources winning: the config file, then a strength flag
+    (which drops the file's other strength key), then the other flags."""
+    mapping = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            fields = pl._config_fields(pl.parse_kv_text(fh.read()))
-    cfg = pl.ExperimentConfig(**fields)
-    # a strength flag replaces the file's strength, whichever of r / n it set
-    if args.r is not None:
-        cfg = replace(cfg, r=args.r, target_n=None)
-    if args.n is not None:
-        cfg = replace(cfg, target_n=args.n, r=None)
-    flags = {
-        name: getattr(args, name, None)
-        for name in ("eta1", "eta", "eta2", "engine", "loss_on_a", "tail_tol", "seed")
-    }
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    if cfg.r is None and cfg.target_n is None:
-        raise ValueError("one of --r / --n (or a config file setting) is required")
-    cfg.validate()
-    return cfg
+            mapping = pl.parse_kv_text(fh.read())
+    for flag, other in (("r", "n"), ("n", "r")):
+        if getattr(args, flag) is not None:
+            mapping.pop(other, None)
+    for key in pl.CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            mapping[key] = getattr(args, key)
+    return pl.ExperimentConfig.from_mapping(mapping)
 
 
 def _outdir(args) -> str:
@@ -106,8 +98,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
-    values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    entries = pl.sweep(cfg, args.axis, values)
+    entries = pl.sweep(cfg, args.axis, _float_list(args.values))
     rows = [mio.ResultRow.from_result(e.result) for e in entries if e.result]
     text = mio.result_rows_csv_text(rows)
     for e in entries:
@@ -178,7 +169,10 @@ def _load_grid(path_or_none, default_name, schema) -> dict[str, str]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _write_figure(args, name, base, axis, values, eta_values, filename) -> int:
@@ -195,22 +189,27 @@ def _write_figure(args, name, base, axis, values, eta_values, filename) -> int:
     return 0
 
 
+def _grid_config(grid, **strength) -> pl.ExperimentConfig:
+    """The base config of a figure: the grid's config keys plus ``strength``."""
+    scalars = {key: value for key, value in grid.items() if key in pl.CONFIG_KEYS}
+    return pl.ExperimentConfig.from_mapping({**scalars, **strength})
+
+
 def cmd_fig3(args) -> int:
     grid = _load_grid(args.grid_file, "fig3_grid.cfg", _FIG3_GRID)
-    base = pl.ExperimentConfig(
-        eta1=float(grid["eta1"]), eta2=float(grid["eta2"]), engine=grid["engine"]
-    )
+    n_values = _float_list(grid["n_values"])
+    # the sweep sets n at every point; the base takes the first as its strength
+    base = _grid_config(grid, n=n_values[0])
     return _write_figure(
-        args, "fig3", base, "n", _float_list(grid["n_values"]),
+        args, "fig3", base, "n", n_values,
         _float_list(grid["eta_values"]), "fig3_concurrence_success.csv",
     )
 
 
 def cmd_fig4(args) -> int:
     grid = _load_grid(args.grid_file, "fig4_grid.cfg", _FIG4_GRID)
-    base = pl.ExperimentConfig(target_n=float(grid["n"]), engine=grid["engine"])
     return _write_figure(
-        args, "fig4", base, "eta12", _float_list(grid["eta12_values"]),
+        args, "fig4", _grid_config(grid), "eta12", _float_list(grid["eta12_values"]),
         _float_list(grid["eta_values"]), "fig4_concurrence_vs_outer_loss.csv",
     )
 
@@ -222,17 +221,18 @@ def cmd_tomo(args) -> int:
     if cfg.engine in ("auto", "phase_space"):
         cfg = replace(cfg, engine="fock")
     result = pl.run(cfg, keep_state=True)
+    # the keys from_mapping rebuilds cfg from; the seed has its own record line
+    snapshot = {"r": mio.format_float(cfg.resolved_r())}
+    for key, typ in pl.CONFIG_KEYS.items():
+        if key not in ("r", "n", "seed"):
+            value = getattr(cfg, key)
+            snapshot[key] = mio.format_float(value) if typ is float else str(value)
     record = tomo.sample(
         result.final_branches,
         n_samples=args.samples,
         phase_policy=args.phase_policy,
         seed=cfg.seed,
-        config_snapshot={
-            "r": mio.format_float(cfg.resolved_r()),
-            "eta1": mio.format_float(cfg.eta1),
-            "eta": mio.format_float(cfg.eta),
-            "eta2": mio.format_float(cfg.eta2),
-        },
+        config_snapshot=snapshot,
     )
     outdir = _outdir(args)
     record_path = os.path.join(outdir, "tomo_record.csv")

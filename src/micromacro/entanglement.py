@@ -169,21 +169,27 @@ def concurrence_xstate(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
 
 
 def spin_flip_concurrence(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wootters construction on Hermitian 4x4 matrices ``m`` (..., 4, 4),
-    without checks.
+    """Wootters construction on 4x4 matrices (..., 4, 4), without checks.
 
-    Returns the raw eigenvalues mu of m (sy (x) sy) m^* (sy (x) sy), the
-    decreasing lambda_i = sqrt(max(Re mu_i, 0)), and the concurrence
-    max(0, lambda_0 - lambda_1 - lambda_2 - lambda_3), all over the leading axes.
+    Each matrix m is replaced by its Hermitian part divided by its trace, h.
+    Returns h, the raw eigenvalues mu of h (sy (x) sy) h^* (sy (x) sy), and the
+    concurrence max(0, lambda_0 - lambda_1 - lambda_2 - lambda_3) with
+    lambda_i = sqrt(max(Re mu_i, 0)) decreasing, all over the leading axes;
+    the concurrence is 0 where the trace is <= 0.
     """
-    mu = np.linalg.eigvals(m @ (_SIGMA_YY @ m.conj() @ _SIGMA_YY))
+    h = 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
+    t = np.trace(h, axis1=-2, axis2=-1).real
+    positive = t > 0
+    h = h / np.where(positive, t, 1.0)[..., None, None]
+    mu = np.linalg.eigvals(h @ (_SIGMA_YY @ h.conj() @ _SIGMA_YY))
     lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)), axis=-1)[..., ::-1]
-    return mu, lam, np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return h, mu, np.where(positive, value, 0.0)
 
 
 def concurrence_general(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
     """Concurrence of the trace-normalized block from the spin-flip
-    eigenvalue construction.
+    eigenvalue construction (``spin_flip_concurrence``).
 
     lambda_i are the decreasing square roots of the eigenvalues of
     rho * (sy (x) sy) rho^* (sy (x) sy); this equals the eigenvalues of
@@ -191,17 +197,14 @@ def concurrence_general(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
     negative eigenvalues (within ``POSITIVITY_TOL``) are clamped to zero;
     larger violations raise.
     """
-    t = rho.trace
-    if t <= 0.0:
+    if rho.trace <= 0.0:
         raise ValueError("zero-trace matrix has no concurrence")
-    m = rho.matrix / t
-    h = 0.5 * (m + m.conj().T)
+    h, mu, value = spin_flip_concurrence(rho.matrix)
     evals = np.linalg.eigvalsh(h)
     if evals.min() < -POSITIVITY_TOL:
         raise ValueError(
             f"input not positive semidefinite: eigenvalue {evals.min():.3e}"
         )
-    mu, _, value = spin_flip_concurrence(h)
     if np.abs(mu.imag).max() > 1e-8:
         raise ValueError("spin-flip product has non-real eigenvalues")
     if mu.real.min() < -POSITIVITY_TOL:
@@ -210,13 +213,13 @@ def concurrence_general(rho: ProjectedDensityMatrix) -> ConcurrenceResult:
         )
     if rho.off_x_max() < XSTATE_RESIDUAL_TOL:
         _, branch = xstate_formula(
-            m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[2, 1], m[0, 3]
+            h[0, 0].real, h[1, 1].real, h[2, 2].real, h[3, 3].real, h[2, 1], h[0, 3]
         )
         if value == 0.0:
             branch = "zero"
     else:
         branch = "general"
-    return ConcurrenceResult(value=value, branch=branch)
+    return ConcurrenceResult(value=float(value), branch=branch)
 
 
 def success_probability(rho: ProjectedDensityMatrix) -> float:

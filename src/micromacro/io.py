@@ -65,9 +65,6 @@ class ResultRow:
             for col in RESULT_COLUMNS
         ]
 
-    def to_csv_line(self) -> str:
-        return ",".join(self._cells())
-
     def to_dict(self) -> dict:
         # numbers go through their written text, so JSON and CSV agree
         return {
@@ -83,9 +80,7 @@ RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def result_rows_csv_text(rows) -> str:
-    lines = [f"# schema: {RESULT_SCHEMA}", ",".join(RESULT_COLUMNS)]
-    lines.extend(row.to_csv_line() for row in rows)
-    return "\n".join(lines) + "\n"
+    return table_csv_text(RESULT_SCHEMA, RESULT_COLUMNS, (row._cells() for row in rows))
 
 
 def atomic_write_text(path, text: str) -> None:

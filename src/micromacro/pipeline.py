@@ -17,6 +17,11 @@ set.  That block reads only the leading photon numbers after the eta2 loss
 also expands it through the eta2 loss (and the spectator loss) for the
 tomography sampler.
 
+An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
+``sweep`` take any config as valid.  ``from_mapping``, keyed by
+``CONFIG_KEYS``, is the one route from key/value pairs (config files, CLI
+flags, figure grids) to a config.
+
 All runs are pure functions of the configuration, so results are bit-stable
 for a given config on a given machine.
 """
@@ -24,7 +29,6 @@ for a given config on a given machine.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -42,6 +46,9 @@ from .entanglement import (
 ENGINES = ("auto", "fock", "phase_space", "both")
 
 MIN_TARGET_N = 0.5
+
+# the numeric fields' types, bool aside; cheaper to test than numbers.Real
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def solve_r_for_n(target_n: float) -> float:
@@ -66,7 +73,8 @@ def amplified_mean_photons(r: float) -> tuple[float, float, float]:
 class ExperimentConfig:
     """One experiment point: squeeze strength, the three losses, and knobs.
 
-    Exactly one of ``r`` / ``target_n`` must be set.  ``engine='auto'``
+    Exactly one of ``r`` / ``target_n`` must be set, and construction
+    (``replace`` included) runs ``validate``.  ``engine='auto'``
     resolves to phase_space, the production engine; 'fock' runs the
     truncated Fock oracle, and 'both' runs the two engines and records their
     elementwise disagreement.  ``seed`` only feeds the tomography sampler.
@@ -82,12 +90,18 @@ class ExperimentConfig:
     tail_tol: float = fk.DEFAULT_TAIL_TOL
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if (self.r is None) == (self.target_n is None):
-            raise ValueError("exactly one of r / target_n must be set")
-        for name in ("r", "target_n", "eta1", "eta", "eta2", "tail_tol"):
+            raise ValueError("exactly one of r / target_n is required")
+        strength = "r" if self.r is not None else "target_n"
+        for name in (strength, "eta1", "eta", "eta2", "tail_tol"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.r is not None and self.r < 0:
             raise ValueError("r must be >= 0")
@@ -101,17 +115,30 @@ class ExperimentConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if not isinstance(self.loss_on_a, (bool, np.bool_)):
             raise ValueError(f"loss_on_a must be a bool, got {self.loss_on_a!r}")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a tail bound of 1 or more certifies nothing
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        """Validated config from string key/value pairs, keyed as in config files."""
-        cfg = cls(**_config_fields(mapping))
-        cfg.validate()
-        return cfg
+    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        """Config from pairs keyed by ``CONFIG_KEYS``: a string is parsed by
+        its key's type, any other value goes to ``validate`` as it is."""
+        fields = {}
+        for key, value in mapping.items():
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown configuration key {key!r}")
+            typ = CONFIG_KEYS[key]
+            if isinstance(value, str):
+                try:
+                    value = _BOOL_TEXTS[value.lower()] if typ is bool else typ(value)
+                except (KeyError, ValueError):
+                    msg = f"{key} must parse as {typ.__name__}, got {value!r}"
+                    raise ValueError(msg) from None
+            fields["target_n" if key == "n" else key] = value
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -120,7 +147,6 @@ class ExperimentConfig:
             return cls.from_mapping(parse_kv_text(fh.read()))
 
     def resolved_r(self) -> float:
-        self.validate()
         return self.r if self.r is not None else solve_r_for_n(self.target_n)
 
     def resolved_engine(self) -> str:
@@ -264,7 +290,6 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
     ensemble (used by the tomography sampler) and the phase-space route the
     final Wigner function.
     """
-    config.validate()
     t0 = time.perf_counter()
     r = config.resolved_r()
     # without mid-stage loss the squeezer and its inverse cancel exactly
@@ -276,12 +301,12 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
 
     if engine in ("fock", "both"):
         rho_fock, diag, final_branches = _run_fock(config, r, squeeze, keep_state)
-        diag.fock_matrix = np.array(rho_fock.matrix)
+        diag.fock_matrix = rho_fock.matrix
     if engine in ("phase_space", "both"):
         rho_ps, W = _run_phase_space(config, r, squeeze)
         if keep_state:
             final_wigner = W
-        diag.phase_space_matrix = np.array(rho_ps.matrix)
+        diag.phase_space_matrix = rho_ps.matrix
 
     if engine == "fock":
         rho_p = rho_fock
@@ -358,7 +383,8 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepEntry]:
 # plain-text configuration files (key = value)
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
+#: config-file keys and their types; "n" sets ``target_n``
+CONFIG_KEYS = {
     "r": float,
     "n": float,
     "eta1": float,
@@ -370,18 +396,8 @@ _CONFIG_KEYS = {
     "seed": int,
 }
 
-
-def _config_fields(mapping: dict[str, str]) -> dict:
-    """Typed ``ExperimentConfig`` fields from config-file strings, not validated."""
-    fields = {}
-    for key, text in mapping.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown configuration key {key!r}")
-        typ = _CONFIG_KEYS[key]
-        fields["target_n" if key == "n" else key] = (
-            _parse_bool(text) if typ is bool else typ(text)
-        )
-    return fields
+_BOOL_TEXTS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -396,12 +412,3 @@ def parse_kv_text(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean from {text!r}")

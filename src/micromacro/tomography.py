@@ -8,8 +8,9 @@ of the Fock state and draws x_A from its exact marginal, a branch given x_A,
 then x_B from that branch's pure conditional.  Each CDF is a per-draw linear
 combination of cumulative tables built once per call (three basis rows for
 x_A, running branch sums, pair products phi_m phi_n for x_B), inverted by
-bisection over the grid index.  Blocks of samples get independent child
-seeds from the master seed, so records are reproducible bit-for-bit.
+a bracketed bisection over the grid index.  Blocks of samples get
+independent child seeds from the master seed, so records are reproducible
+bit-for-bit.
 
 Reconstruction maps quadrature samples to Fock-basis matrix elements with
 pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
@@ -29,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import dawsn
 
-from .entanglement import ProjectedDensityMatrix, spin_flip_concurrence
+from .entanglement import spin_flip_concurrence
 from .errors import IllConditionedError
 from .fock import BranchEnsemble
 
 RECORD_SCHEMA = "tomography-record v1"
 _BLOCK_SIZE = 2048
+_KNOT = 16  # table rows between the brackets that start a CDF search
 
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
@@ -148,15 +150,17 @@ def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _bisect(below, size: int, n: int) -> np.ndarray:
-    """Per draw, the last index i < n at which the monotone predicate
-    ``below(i)`` holds (index 0 is taken to hold): a searchsorted whose
-    values are evaluated only at the probed indices."""
-    lo = np.zeros(size, dtype=np.intp)
-    hi = np.full(size, n, dtype=np.intp)
-    for _ in range((n - 1).bit_length()):
+def _search(coef, table, target, n: int, strict: bool = False) -> np.ndarray:
+    """Per draw s, the last index i < n with coef[s] . table[i] <= target[s]
+    (< if ``strict``; taken to hold at 0) on rows growing with i: brackets on
+    every ``_KNOT``-th row (one product), then bisection of each bracket."""
+    below = np.less if strict else np.less_equal
+    knots = np.count_nonzero(below(coef @ table[:n:_KNOT].T, target[:, None]), axis=1)
+    lo = _KNOT * np.maximum(knots - 1, 0)
+    hi = np.minimum(lo + _KNOT, n)
+    for _ in range((_KNOT - 1).bit_length()):
         mid = (lo + hi) >> 1
-        ok = below(mid)
+        ok = below(np.einsum("sp,sp->s", coef, table[mid]), target)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     return lo
@@ -167,24 +171,20 @@ def _draw(coef, table, stride: int, grid, u, density) -> np.ndarray:
 
     ``table`` holds cumulative trapezoids of basis densities at grid points
     0, stride, 2 stride, ... and the last.  The bin holding quantile u[s] is
-    found by bisection and filled with the exact trapezoid of
+    found by ``_search`` and filled with the exact trapezoid of
     ``density(points)`` (stride + 1 values per draw); the draw is the linear
     step inside its grid cell."""
     total = coef @ table[-1]
     if np.any(total <= 0):
         raise ValueError("density rows must carry positive mass")
     target = u * total
-
-    def cdf(i):
-        return np.einsum("sp,sp->s", coef, table[i])
-
-    c = _bisect(lambda i: cdf(i) <= target, len(u), len(table) - 1)
+    c = _search(coef, table, target, len(table) - 1)
     last = len(grid) - 1
     h = grid[1] - grid[0]
     pts = np.minimum(stride * c[:, None] + np.arange(stride + 1), last)
     pdf = density(pts)
     seg = 0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h
-    cum = np.cumsum(np.column_stack([cdf(c), seg]), axis=1)
+    cum = np.cumsum(np.column_stack([np.einsum("sp,sp->s", coef, table[c]), seg]), axis=1)
     # cells past the last grid point (clamped in the final bin) are never chosen
     k = np.sum((cum[:, 1:-1] <= target[:, None]) & (pts[:, 1:-1] < last), axis=1)
     c0, c1 = np.take_along_axis(cum, np.stack([k, k + 1], axis=1), axis=1).T
@@ -251,7 +251,6 @@ def sample(
         stride *= 2
     coarse = np.append(np.arange(0, n_b - 1, stride), n_b - 1)
     doubled = np.append(1.0, np.full(support, 2.0))[:, None]
-    row_start = np.cumsum([0] + [m_dim - m for m in range(m_dim)])
     cum_b = np.concatenate([  # (len(coarse), n_pairs), pairs (m, n >= m) row-major
         _cumulative_trapezoid(
             phi_b_grid[m] * phi_b_grid[m:] * doubled[: m_dim - m], grid_b[1] - grid_b[0]
@@ -288,22 +287,17 @@ def sample(
             [phi_a[1] ** 2, phi_a[0] ** 2, cross * cos_a, cross * sin_a], axis=1
         )
         draws = rng.random(count) * (feats @ branch_cum[-1])
-        k_sel = _bisect(
-            lambda k: np.einsum("sf,sf->s", feats, branch_cum[k]) < draws,
-            count, len(state),
-        )
+        k_sel = _search(feats, branch_cum, draws, len(state), strict=True)
 
         # x_B from the chosen branch's pure conditional |c.phi(x)|^2
         coeff = (
             ((cos_a - 1j * sin_a) * phi_a[1])[:, None] * u_mat[k_sel]
             + phi_a[0][:, None] * v_mat[k_sel]
-        ) * np.exp(-1j * np.outer(th_b, np.arange(m_dim)))  # (S, M)
-        re, im = coeff.real, coeff.imag
-        r_mat = np.empty((count, n_pairs))
-        for m in range(m_dim):
-            r_mat[:, row_start[m]:row_start[m + 1]] = (
-                re[:, m:m + 1] * re[:, m:] + im[:, m:m + 1] * im[:, m:]
-            )
+        ) * np.exp(-1j * th_b)[:, None] ** np.arange(m_dim)  # (S, M)
+        # R_mn = Re(c_m^* c_n), built pair by pair on contiguous rows
+        re, im = coeff.real.T.copy(), coeff.imag.T.copy()
+        r_mat = np.concatenate([re[m] * re[m:] + im[m] * im[m:] for m in range(m_dim)])
+        r_mat = np.ascontiguousarray(r_mat.T)
 
         def density_b(pts):
             amp = np.einsum("sm,skm->sk", coeff, phi_b_rows[pts])
@@ -335,25 +329,33 @@ def pattern_function(m: int, n: int, x) -> np.ndarray:
     and phi cancel in the product and are never formed.  The result is real
     and symmetric in (m, n).
     """
-    if m < n:
-        m, n = n, m
+    return _pattern_functions([(m, n)], x)[m, n]
+
+
+def _pattern_functions(pairs, x) -> dict:
+    """``pattern_function`` of each (m, n) in ``pairs`` at the points x, on
+    one Dawson evaluation and one pair of ladders."""
     x = np.asarray(x, dtype=float)
+    top = max(max(pair) for pair in pairs)
     daw = dawsn(x)
     # psi_k pi^(-1/4) e^{-x^2/2} and phi_k pi^(1/4) e^{x^2/2}
-    psi = _ladder(2.0 * daw, math.sqrt(2.0) * (2.0 * x * daw - 1.0), x, m + 1)
-    phi = _ladder(1.0, math.sqrt(2.0) * x, x, n + 1)
-    lowered_psi = math.sqrt(m) * psi[m - 1] if m else math.sqrt(2.0)
-    lowered_phi = math.sqrt(n) * phi[n - 1] if n else 0.0
-    d_psi = lowered_psi - math.sqrt(m + 1) * psi[m + 1]
-    d_phi = lowered_phi - math.sqrt(n + 1) * phi[n + 1]
-    return (d_psi * phi[n] + psi[m] * d_phi) / math.sqrt(2.0)
+    psi = _ladder(2.0 * daw, math.sqrt(2.0) * (2.0 * x * daw - 1.0), x, top + 1)
+    phi = _ladder(1.0, math.sqrt(2.0) * x, x, top + 1)
+    kernels = {}
+    for pair in pairs:
+        n, m = sorted(pair)
+        lowered_psi = math.sqrt(m) * psi[m - 1] if m else math.sqrt(2.0)
+        lowered_phi = math.sqrt(n) * phi[n - 1] if n else 0.0
+        d_psi = lowered_psi - math.sqrt(m + 1) * psi[m + 1]
+        d_phi = lowered_phi - math.sqrt(n + 1) * phi[n + 1]
+        kernels[pair] = (d_psi * phi[n] + psi[m] * d_phi) / math.sqrt(2.0)
+    return kernels
 
 
 @dataclass
 class ReconstructionResult:
     """Estimated block with per-element standard errors and diagnostics."""
 
-    block: ProjectedDensityMatrix
     estimate: np.ndarray  # 4x4 complex, Hermitian by construction
     se_real: np.ndarray  # 4x4
     se_imag: np.ndarray  # 4x4
@@ -385,7 +387,7 @@ def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResul
     pairs = {(1, 0)} | {(m, m) for m in range(n_cut + 1)}
     arms = []
     for x, theta in ((record.x_a, record.theta_a), (record.x_b, record.theta_b)):
-        kernels = {pair: pattern_function(*pair, x) for pair in pairs}
+        kernels = _pattern_functions(pairs, x)
         harmonic = np.exp(1j * theta)
         kernels[0, 1] = kernels[1, 0] * harmonic.conj()
         kernels[1, 0] = kernels[1, 0] * harmonic
@@ -409,19 +411,9 @@ def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResul
     ext_se = pops.std(axis=-1, ddof=1) / root_n
 
     return ReconstructionResult(
-        block=ProjectedDensityMatrix(est), estimate=est, se_real=se_re, se_imag=se_im,
+        estimate=est, se_real=se_re, se_imag=se_im,
         extended_populations=ext, extended_se=ext_se, n_samples=n_samples, n_cut=n_cut,
     )
-
-
-def _block_concurrence(matrices: np.ndarray) -> np.ndarray:
-    """Concurrence of noisy (..., 4, 4) estimates: Hermitian part, normalized;
-    0 where the trace is <= 0."""
-    m = 0.5 * (matrices + np.swapaxes(matrices.conj(), -1, -2))
-    t = np.trace(m, axis1=-2, axis2=-1).real
-    positive = t > 0
-    values = spin_flip_concurrence(m / np.where(positive, t, 1.0)[..., None, None])[2]
-    return np.where(positive, values, 0.0)
 
 
 def concurrence_with_uncertainty(
@@ -433,10 +425,10 @@ def concurrence_with_uncertainty(
     re-imposed per draw); the spread of the resulting concurrence values is
     the quoted uncertainty.
     """
-    central = float(_block_concurrence(recon.estimate))
+    central = float(spin_flip_concurrence(recon.estimate)[2])
     # per draw 16 real then 16 imaginary parts, the order of per-draw
     # rng.normal(scale=se) calls
     noise = np.random.default_rng(seed).standard_normal((n_draws, 2, 4, 4))
     noise = noise[:, 0] * recon.se_real + 1j * (noise[:, 1] * recon.se_imag)
-    values = _block_concurrence(recon.estimate + noise)
+    values = spin_flip_concurrence(recon.estimate + noise)[2]
     return central, float(values.std(ddof=1))

@@ -65,7 +65,8 @@ class TestConcurrenceGeneral:
         for _ in range(50):
             rho = random_physical_xstate(rng)
             res = concurrence_general(rho)
-            _, lam, _ = spin_flip_concurrence(rho.matrix / rho.trace)
+            _, mu, _ = spin_flip_concurrence(rho.matrix)
+            lam = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)))[::-1]
             assert res.value == pytest.approx(
                 max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), abs=1e-10
             )
@@ -74,14 +75,16 @@ class TestConcurrenceGeneral:
         rng = np.random.default_rng(5)
         g = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
         stack = g @ g.conj().swapaxes(-1, -2)
-        stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
         stack[4:] = [random_physical_xstate(rng).matrix for _ in range(4)]
-        mu, lam, values = spin_flip_concurrence(stack)
-        assert values.shape == (8,) and np.any(values > 0)
+        stack[3] = -stack[3]  # trace < 0: no concurrence
+        h, mu, values = spin_flip_concurrence(stack)
+        assert values.shape == (8,) and np.any(values > 0) and values[3] == 0.0
+        traces = np.trace(h, axis1=-2, axis2=-1)
+        assert np.allclose(np.delete(traces, 3), 1.0)
         for i, m in enumerate(stack):
-            mu_i, lam_i, value_i = spin_flip_concurrence(m)
+            h_i, mu_i, value_i = spin_flip_concurrence(m)
+            assert np.array_equal(h[i], h_i)
             assert np.array_equal(mu[i], mu_i)
-            assert np.array_equal(lam[i], lam_i)
             assert values[i] == value_i
 
     def test_zero_trace_raises(self):

@@ -1,6 +1,7 @@
 """File-format and command-line tests, including golden files for
 configurations whose outputs are known a priori (r=0 cases)."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from micromacro import ExperimentConfig, run
-from micromacro.cli import main
+from micromacro.cli import _add_pipeline_flags, build_parser, main
 from micromacro.io import (
     RESULT_COLUMNS,
     ResultRow,
@@ -16,6 +17,7 @@ from micromacro.io import (
     format_float,
     result_rows_csv_text,
 )
+from micromacro.pipeline import CONFIG_KEYS
 from micromacro.tomography import TomographyRecord
 
 
@@ -86,6 +88,19 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate")
         assert code != 0
         assert "required" in json.loads(err)["message"]
+
+    def test_both_strength_flags_rejected(self, capsys):
+        # one mapping takes both flags, so neither silently wins
+        code, _, err = run_cli(capsys, "simulate", "--r", "0.5", "--n", "10")
+        assert code != 0
+        assert json.loads(err)["message"].startswith("exactly one of r / target_n")
+
+    def test_config_flags_name_the_config_keys(self):
+        parser = argparse.ArgumentParser()
+        _add_pipeline_flags(parser)
+        dests = set(vars(parser.parse_args([]))) - {"config"}
+        assert "seed" in vars(build_parser().parse_args(["tomo"]))
+        assert dests | {"seed"} == set(CONFIG_KEYS)
 
     def test_csv_format_and_output_file(self, capsys, tmp_path):
         target = tmp_path / "row.csv"
@@ -253,6 +268,19 @@ class TestFigCommands:
         assert payload["error"] == "ValueError"
         assert "n_values" in payload["message"]
 
+    def test_grid_bad_values(self, capsys, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        for text, named in (
+            ("n_values =\neta_values = 0.99\n", "comma-separated"),
+            ("n_values = 1\neta_values = 0.99\neta1 = 1.5\n", "eta1 must lie"),
+        ):
+            grid.write_text(text)
+            code, _, err = run_cli(
+                capsys, "fig3", "--grid-file", str(grid), "--outdir", str(tmp_path)
+            )
+            assert code != 0
+            assert named in json.loads(err)["message"]
+
     def test_grid_unknown_key(self, capsys, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text("n_values = 1, 10\neta_values = 0.99\neta_1 = 0.9\n")
@@ -298,6 +326,23 @@ class TestTomoCommand:
         rec = TomographyRecord.from_csv(tmp_path / "tomo_record.csv")
         assert len(rec) == 500
         assert rec.seed == 1
+
+    def test_record_snapshot_rebuilds_the_config(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys,
+            "tomo", "--r", "0.5", "--eta", "0.9", "--eta2", "0.9", "--loss-on-a",
+            "--tail-tol", "1e-12", "--samples", "50", "--seed", "3",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        rec = TomographyRecord.from_csv(tmp_path / "tomo_record.csv")
+        assert rec.config_snapshot["loss_on_a"] == "True"
+        assert rec.config_snapshot["tail_tol"] == "1e-12"
+        rebuilt = ExperimentConfig.from_mapping({**rec.config_snapshot, "seed": rec.seed})
+        assert rebuilt == ExperimentConfig(
+            r=0.5, eta=0.9, eta2=0.9, loss_on_a=True, tail_tol=1e-12, seed=3,
+            engine="fock",
+        )
 
     def test_phase_space_request_runs_fock(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -50,7 +50,8 @@ class TestConfig:
             ExperimentConfig(r=1.0, eta=1.2).validate()
 
     def test_seed_must_be_non_negative_integer(self):
-        for bad in (-1, 1.5, "3"):
+        # bool is an int, so seed=True used to run as seed 1
+        for bad in (-1, 1.5, "3", True):
             with pytest.raises(ValueError, match="^seed must be"):
                 ExperimentConfig(r=1.0, seed=bad).validate()
         ExperimentConfig(r=1.0, seed=np.int64(3)).validate()
@@ -69,9 +70,29 @@ class TestConfig:
     def test_non_finite_rejected(self, field):
         base = {} if field in ("r", "target_n") else {"r": 1.0}
         for bad in (math.nan, math.inf, -math.inf):
-            cfg = ExperimentConfig(**base, **{field: bad})
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
-                cfg.validate()
+                ExperimentConfig(**base, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "field", ["r", "target_n", "eta1", "eta", "eta2", "tail_tol"]
+    )
+    @pytest.mark.parametrize("bad", ["1.0", "x", True, np.True_, 1j])
+    def test_non_real_rejected(self, field, bad):
+        # r=True used to run as r = 1, and a string raised a bare TypeError
+        base = {} if field in ("r", "target_n") else {"r": 1.0}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            ExperimentConfig(**base, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-12, 1.0, 10.0])
+    def test_tail_tol_range(self, bad):
+        # tail_tol=10 used to run in Fock with n_max 2 and a 0.22 disagreement
+        with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\)"):
+            ExperimentConfig(r=1.0, eta=0.9, engine="both", tail_tol=bad)
+
+    def test_replace_validates(self):
+        cfg = ExperimentConfig(r=1.0)
+        with pytest.raises(ValueError, match="^eta must lie"):
+            replace(cfg, eta=1.5)
 
     def test_engine_resolution(self):
         assert ExperimentConfig(target_n=100.0).resolved_engine() == "phase_space"
@@ -302,6 +323,23 @@ class TestConfigFiles:
         for mapping in ({"r": "1.0", "eta": "1.5"}, {"r": "1.0", "seed": "-1"}, {}):
             with pytest.raises(ValueError):
                 ExperimentConfig.from_mapping(mapping)
+
+    def test_typed_values(self):
+        # strings are parsed by their key's type; typed values are checked as given
+        cfg = ExperimentConfig.from_mapping(
+            {"n": 100.0, "eta": "0.9", "loss_on_a": True, "seed": 3}
+        )
+        assert cfg == ExperimentConfig(target_n=100.0, eta=0.9, loss_on_a=True, seed=3)
+        for bad in ({"r": True}, {"r": 1.0, "seed": 1.5}, {"r": 1.0, "loss_on_a": 1}):
+            with pytest.raises(ValueError, match="must be"):
+                ExperimentConfig.from_mapping(bad)
+
+    @pytest.mark.parametrize(
+        "key, text", [("eta", "x"), ("seed", "1.5"), ("loss_on_a", "maybe")]
+    )
+    def test_parse_error_names_the_key(self, key, text):
+        with pytest.raises(ValueError, match=f"^{key} must parse as"):
+            ExperimentConfig.from_mapping({"r": "1.0", key: text})
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

@@ -465,9 +465,7 @@ class TestReconstruct:
         recon = reconstruct(sample(bell_branch, 20000, seed=13))
 
         def block_concurrence(matrix):
-            m = 0.5 * (matrix + matrix.conj().T)
-            t = np.trace(m).real
-            return spin_flip_concurrence(m / t)[2] if t > 0 else 0.0
+            return float(spin_flip_concurrence(matrix)[2])
 
         rng = np.random.default_rng(1234)
         values = np.empty(2000)
