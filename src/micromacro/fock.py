@@ -8,31 +8,39 @@ by arm A's photon number, arm B's and the branch.  Arm B enters the squeezer
 in |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
 Every later stage acts on the whole array at once: the binomial photon-loss
-Kraus channel (one pass over the Kraus order, each order vectorized over the
-branches still live), the spectator loss on arm A (a kept and a decayed
-branch each), pruning (a mask), the inverse squeeze unitary
-exp(-r (a^2 - a+^2)/2) and the projection onto the {0,1}x{0,1} block (one
-contraction).  After a trailing loss the block reads only the leading photon
-numbers (``projection_rows``), and a few leading rows of the inverse squeeze
-cost as many propagated unit columns.
+Kraus channel (chunks of Kraus orders, each vectorized over the branches
+still live), the spectator loss on arm A (a kept and a decayed branch each),
+pruning (a mask), the inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the
+projection onto the {0,1}x{0,1} block (one contraction).
+
+After a trailing loss the block reads only the leading photon numbers
+(``projection_rows``).  So the loss channel can keep, instead of each
+full-height Kraus image, its product with the first rows of the inverse
+squeeze (the head of S^-1 = S^T, built once per propagator and row count),
+and the expanded ensemble is never stored.  When the trailing loss is
+complete the block reads only each branch's Gram matrix, which the
+orthogonal S^-1 leaves alone, so no propagator is needed at all.
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
 a chain it links the sites n = p (mod 4) only to the sites n = p+2 (mod 4).
 Its exponential is therefore real orthogonal and is applied in real
-arithmetic from a half-size eigenbasis (see SqueezePropagator), built once
-per (r, n_max) and reused across all branch columns of a run.
+arithmetic from the SVD of a half-size bidiagonal block (see
+SqueezePropagator), built once per (r, n_max) and reused across all branch
+columns of a run.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cython_lapack
+from scipy.special import gammaln, xlogy
 
 from .entanglement import ProjectedDensityMatrix
 from .errors import TruncationError
@@ -40,6 +48,8 @@ from .errors import TruncationError
 DEFAULT_TAIL_TOL = 1e-10
 N_MAX_CAP = 8192
 PRUNE_THRESHOLD = 1e-14
+#: Kraus image entries per chunk of loss orders (1 MiB of float64)
+_CHUNK_ENTRIES = 1 << 17
 
 
 def _abs2(a: np.ndarray) -> np.ndarray:
@@ -66,7 +76,9 @@ class BranchEnsemble:
     sit in the (sub-normalized) columns.  The pipeline keeps ``amps`` real;
     complex arrays are accepted everywhere.  ``kraus_orders`` records, per
     input branch, the highest Kraus order of the loss expansion that produced
-    the ensemble (empty otherwise).
+    the ensemble (empty otherwise).  A loss expansion that keeps projected
+    images (``loss_on_branch`` with ``head``) sets ``traces`` to the traces
+    of the full images, which is what pruning weighs.
     """
 
     amps: np.ndarray
@@ -101,17 +113,11 @@ class BranchEnsemble:
         idx = np.flatnonzero(suffix > mass_tol)
         return int(idx[-1]) if len(idx) else 1
 
-    def unsqueezed(self, prop: "SqueezePropagator", rows: int) -> "BranchEnsemble":
-        """Photon numbers 0..rows-1 of the image under the inverse squeeze of
-        ``prop``.  The squeeze S is real orthogonal, so those rows of
-        S^-1 = S^T are the forward images of the first ``rows`` unit columns:
-        one propagator call on ``rows`` columns and one product.  Asked for
-        every row, it propagates the columns of each arm-A half."""
-        if rows > self.n_max:
-            halves = [prop.apply_columns(a, -1) for a in self.amps]
-            return BranchEnsemble(np.stack(halves))
-        head = prop.apply_columns(np.eye(self.n_max + 1, rows), +1).T
-        return BranchEnsemble(head @ self.amps)
+    def unsqueezed(self, prop: "SqueezePropagator") -> "BranchEnsemble":
+        """The image under the inverse squeeze of ``prop``, every row: the
+        columns of each arm-A half propagated.  (A run that needs only the
+        leading rows takes them per Kraus image, ``loss_on_branch(head=)``.)"""
+        return BranchEnsemble(np.stack([prop.apply_columns(a, -1) for a in self.amps]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +246,20 @@ def mean_photon(amps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _capsule_address(capsule) -> int:
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return address(capsule, name(capsule))
+
+
+# LAPACK's divide-and-conquer bidiagonal SVD from scipy's Cython export table;
+# all 14 arguments are pointers (Fortran conventions)
+_DBDSDC = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(
+    _capsule_address(cython_lapack.__pyx_capi__["dbdsdc"]))
+
+
 def _chain_halves(parity: int, n_max: int):
     """(X, Y, sigma, z) of one parity chain: K = X diag(sigma) Y^T, z spans
     the null space of K^T (None on an even-length chain)."""
@@ -248,14 +268,25 @@ def _chain_halves(parity: int, n_max: int):
     half = m // 2
     if m < 2:
         return np.zeros((m, 0)), np.zeros((0, 0)), np.zeros(0), np.ones(m) if m else None
-    b = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / 2.0
-    b[1::2] *= -1.0  # the signs of K's subdiagonal
-    evals, evecs = eigh_tridiagonal(np.zeros(m), b)
-    top = evecs[:, m - half :]  # the sigma > 0 half, ascending
-    X = math.sqrt(2.0) * top[0::2]
-    Y = math.sqrt(2.0) * top[1::2]
-    z = evecs[0::2, half].copy() if m % 2 else None
-    return X, Y, evals[m - half :], z
+    # K as a square lower bidiagonal of size ceil(m/2); an odd chain gets one
+    # zero column, and the left vector of its zero singular value is z
+    size = m - half
+    b = np.zeros(2 * size)
+    b[: m - 1] = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / 2.0
+    sigma, sub = b[0::2].copy(), -b[1::2]
+    # Fortran order: the C-order buffers receive U^T and VT^T = V
+    u, v = np.empty((size, size)), np.empty((size, size))
+    work, iwork = np.empty(3 * size * size + 4 * size), np.empty(8 * size, np.intc)
+    dim, info = ctypes.c_int(size), ctypes.c_int(0)
+    unused = np.empty(1)
+    _DBDSDC(b"L", b"I", ctypes.byref(dim), sigma.ctypes.data, sub.ctypes.data,
+            u.ctypes.data, ctypes.byref(dim), v.ctypes.data, ctypes.byref(dim),
+            unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
+            iwork.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dbdsdc failed on the n_max={n_max} chain: info {info.value}")
+    # sigma descends, so an odd chain's zero singular value comes last
+    return u.T[:, :half], v[:half, :half], sigma[:half], u[half] if m % 2 else None
 
 
 class SqueezePropagator:
@@ -264,7 +295,7 @@ class SqueezePropagator:
     On a parity chain n = p, p+2, ... the generator is a real antisymmetric
     tridiagonal T with T[j, j+1] = b_j = sqrt((n_j+1)(n_j+2))/2.  It links
     the even chain sites (n = p mod 4) only to the odd ones (n = p+2 mod 4),
-    so in that split T = [[0, K], [-K^T, 0]] with K real bidiagonal
+    so in that split T = [[0, K], [-K^T, 0]] with K real lower bidiagonal
     (K[a, a] = b_2a, K[a, a-1] = -b_(2a-1)).  With the SVD
     K = X diag(sigma) Y^T, C = cos(r sigma) and S = sin(r sigma),
 
@@ -272,13 +303,13 @@ class SqueezePropagator:
                    [   -Y S X^T,      Y C Y^T]],
 
     where z spans the null space of K^T on an odd-length chain.  The SVD is
-    read off one eigh_tridiagonal call on the symmetric [[0, K], [K^T, 0]],
-    whose eigenpairs come as +-sigma: the sigma > 0 half, sqrt(2) times its
-    even and odd eigenvector rows, gives X and Y, and the zero mode of an
-    odd chain gives z.  A step is four real (m/2, m/2) @ (m/2, cols)
-    products per parity, and the cache holds half of a dense (m, m) matrix
-    per parity.  Complex columns propagate as their real and imaginary
-    parts.  The map is orthogonal on the truncated space, hence exactly
+    one LAPACK ``dbdsdc`` call (divide and conquer) per parity on K made
+    square, of size ceil(m/2): an odd chain gets one zero column, whose zero
+    singular value has z as its left vector.  X and Y are views of the U and
+    VT it returns.  A step is four real (m/2, m/2) @ (m/2, cols) products
+    per parity, and the cache holds half of a dense (m, m) matrix per
+    parity.  Complex columns propagate as their real and imaginary parts.
+    The map is orthogonal on the truncated space, hence exactly
     norm-preserving; truncation shows up only as reflection near n_max.
     """
 
@@ -328,64 +359,105 @@ def get_propagator(r: float, n_max: int) -> SqueezePropagator:
     return SqueezePropagator(r, n_max)
 
 
+@lru_cache(maxsize=4)
+def _inverse_head(prop: SqueezePropagator, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of S^-1 = S^T, the forward images of the first unit
+    columns, built once per (prop, rows) and read-only."""
+    head = prop.apply_columns(np.eye(prop.n_max + 1, rows), +1).T
+    head.flags.writeable = False
+    return head
+
+
 # ---------------------------------------------------------------------------
 # photon loss channel
 # ---------------------------------------------------------------------------
 
 
 def loss_on_branch(
-    ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
+    ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL, head=None
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
     Branch b becomes branches k = 0..k_b, in branch-major order, with both
     arm-A halves mapped by (E_k psi)[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
-    psi[m+k] (at eta = 0, E_k = |0><k|: the image is row k alone).  One pass
-    over k keeps the order-k images of the branches still live and subtracts
-    their traces; a branch retires at the first order whose neglected trace
-    falls below its share of ``tail_tol`` (its trace over the ensemble's), or
-    at its top occupied photon number, where the channel is captured exactly.
+    psi[m+k] (at eta = 0, E_k = |0><k|: the image is row k alone).  The
+    orders are taken in chunks, each one array of images of the branches
+    still live; a branch retires at the first order whose neglected trace
+    falls below its share of ``tail_tol`` (its trace over the ensemble's),
+    or at its top occupied photon number, where the channel is captured
+    exactly.
+
+    ``head`` says what each image keeps: None its full height; an
+    (R, n_max+1) array the R rows of ``head @ image``; "gram" two rows with
+    the Gram matrix of its two arm-A halves, all that a block behind a
+    complete loss reads.  ``traces`` holds the full images' either way.
     """
     _check_eta(eta)
-    if eta == 1.0:
+    if eta == 1.0 and head is None:
         return ens
-    n_max = ens.n_max
-    mass = _abs2(ens.amps).sum(axis=0)  # (N, K)
+    amps = ens.amps
+    n_rows = amps.shape[1]
+    mass = _abs2(amps).sum(axis=0)  # (N, K)
     traces = mass.sum(axis=0)
     total = traces.sum()
     tol = np.maximum(tail_tol * (traces / total if total > 0 else 1.0), 1e-300)
     occupied = mass > 0
-    top = np.where(occupied.any(axis=0), n_max - np.argmax(occupied[::-1], axis=0), 0)
+    top = np.where(occupied.any(axis=0), n_rows - 1 - np.argmax(occupied[::-1], axis=0), 0)
 
-    log_fact = gammaln(np.arange(n_max + 1, dtype=float) + 1.0)
-    m = np.arange(n_max + 1)
+    log_fact = gammaln(np.arange(2 * n_rows, dtype=float) + 1.0)
     left = traces.copy()
     orders = np.zeros(len(ens), dtype=int)
     live = np.arange(len(ens))
-    images = []
-    for k in range(int(top.max()) + 1):
-        if eta == 0.0:
-            img = ens.amps[:, k : k + 1, live]
+    pieces = []  # (branch, order, trace, kept rows) of every image kept
+    k0, grow = 0, 16
+    while len(live):
+        width = 1 if eta == 0.0 else n_rows - k0
+        # chunks double up to the entry budget, so few orders cost little
+        count = max(1, min(grow, _CHUNK_ENTRIES // (2 * width * len(live))))
+        count = int(min(count, top[live].max() - k0 + 1))
+        k, m = np.arange(k0, k0 + count), np.arange(width)
+        # log C(m+k, k) from the windows of one log-factorial table
+        log_c = sliding_window_view(log_fact[k0 : k0 + count + width - 1], width)
+        log_c = log_c - log_fact[k][:, None] - log_fact[:width]
+        log_c += xlogy(m, eta)
+        log_c += xlogy(k, 1.0 - eta)[:, None]
+        factors = np.exp(0.5 * log_c)
+        # rows k0.. zero-padded below n_max; window j holds rows k0 + j + m
+        band = np.zeros((2, len(live), width + count - 1), amps.dtype)
+        held = min(width + count - 1, n_rows - k0)
+        band[:, :, :held] = amps[:, k0 : k0 + held, live].transpose(0, 2, 1)
+        img = factors * sliding_window_view(band, width, axis=2)  # (2, live, count, width)
+        t = np.einsum("abjm,abjm->bj", img, img.conj()).real
+        left_after = np.subtract.accumulate(np.hstack([left[live, None], t]), axis=1)[:, 1:]
+        done = (left_after < tol[live, None]) | (top[live, None] == k)
+        retired = done.any(axis=1)
+        last = np.where(retired, done.argmax(axis=1), count - 1)
+        orders[live[retired]] = k0 + last[retired]
+        left[live] = left_after[np.arange(len(live)), last]
+        b, j = np.nonzero(np.arange(count) <= last[:, None])
+        if head is None:
+            kept = img[:, b, j]
+        elif isinstance(head, str):  # R of the QR of the (width, 2) image
+            kept = np.linalg.qr(img[:, b, j].transpose(1, 2, 0), mode="r").transpose(2, 0, 1)
         else:
-            width = n_max + 1 - k
-            log_c = log_fact[k:] - log_fact[k] - log_fact[:width]
-            log_c = log_c + m[:width] * math.log(eta) + k * math.log1p(-eta)
-            img = np.exp(0.5 * log_c)[:, None] * ens.amps[:, k:, live]
-        images.append((live, img))
-        left[live] -= _abs2(img).sum(axis=1).sum(axis=0)
-        done = (left[live] < tol[live]) | (top[live] == k)
-        orders[live[done]] = k
-        live = live[~done]
-        if not len(live):
-            break
+            kept = (img.reshape(-1, width) @ head[:, :width].T).reshape(
+                img.shape[:3] + (-1,))[:, b, j]
+        pieces.append((live[b], k0 + j, t[b, j], kept))
+        live = live[~retired]
+        k0, grow = k0 + count, 2 * grow
 
     # order k of branch b is column start[b] + k of the branch-major buffer
     start = np.cumsum(orders + 1) - (orders + 1)
     n_out = start[-1] + orders[-1] + 1
-    out = np.zeros((2, n_out, n_max + 1), np.result_type(ens.amps, float))
-    for k, (cols, img) in enumerate(images):
-        out[:, start[cols] + k, : img.shape[1]] = img.transpose(0, 2, 1)
-    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders))
+    height = n_rows if head is None else 2 if isinstance(head, str) else len(head)
+    out = np.zeros((2, n_out, height), np.result_type(amps, float))
+    out_traces = np.empty(n_out)
+    for b, k, t, kept in pieces:
+        out[:, start[b] + k, : kept.shape[2]] = kept
+        out_traces[start[b] + k] = t
+    result = BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders))
+    result.traces = out_traces
+    return result
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:

@@ -12,9 +12,11 @@ state as one (2, n_max+1, K) amplitude array (``BranchEnsemble``), starts it
 from the closed-form squeezed input and takes the block from
 ``project_through_loss``, after ``loss_on_spectator`` when ``loss_on_a`` is
 set.  That block reads only the leading photon numbers after the eta2 loss
-(``projection_rows``), so a plain run un-squeezes only those rows.  With
-``keep_state`` it un-squeezes the whole state, crops it at its support and
-also expands it through the eta2 loss (and the spectator loss) for the
+(``projection_rows``), so a plain run never holds the expanded state: the
+eta loss keeps each Kraus image's product with those rows of the inverse
+squeeze, or at eta2 = 0 each image's Gram factor, since S^-1 is orthogonal.
+With ``keep_state`` it un-squeezes the whole state, crops it at its support
+and also expands it through the eta2 loss (and the spectator loss) for the
 tomography sampler.
 
 An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
@@ -42,6 +44,7 @@ from .entanglement import (
     concurrence_xstate,
     success_probability,
 )
+from .errors import TruncationError
 
 ENGINES = ("auto", "fock", "phase_space", "both")
 
@@ -121,6 +124,13 @@ class ExperimentConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        # the Fock engine's photon cap binds only where the squeezer pair acts
+        if self.engine in ("fock", "both") and self.eta < 1.0 and self.resolved_r() > 0.0:
+            try:
+                fk.choose_n_max(self.resolved_r(), self.tail_tol)
+            except TruncationError as exc:
+                value = getattr(self, strength)
+                raise ValueError(f"{strength}={value} is beyond the Fock engine: {exc}") from None
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -233,19 +243,26 @@ def _run_fock(
     n_max = fk.choose_n_max(r, trunc_tol) if squeeze else 2
     diag.n_max = n_max
     ens = _initial_ensemble(cfg.eta1, r if squeeze else 0.0, n_max, trunc_tol)
-    if cfg.eta < 1.0:
-        total = float(ens.traces.sum())
-        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol)
-        diag.kraus_orders = expanded.kraus_orders
-        diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
-        ens, diag.dropped_mass = fk.prune_branches(expanded)
     # amplitude ~1e-9: quantities linear in the amplitudes (e.g. homodyne
     # densities from the kept state) stay good to ~1e-8
     mass_tol = min(cfg.tail_tol * 1e-2, 1e-18)
-    # the sampler reads the whole state, the block only its leading rows
+    # the sampler reads the whole state, the block only its leading rows: a
+    # plain run keeps those rows of S^-1 times each Kraus image, or at eta2 = 0
+    # (all rows) each image's Gram factor
     rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
-    if squeeze:
-        ens = ens.unsqueezed(fk.get_propagator(r, n_max), rows)
+    head = None
+    if squeeze and not keep_state and cfg.eta2 == 0.0:
+        head = "gram"
+    elif squeeze and rows <= n_max:
+        head = fk._inverse_head(fk.get_propagator(r, n_max), rows)
+    if cfg.eta < 1.0:
+        total = float(ens.traces.sum())
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, head)
+        diag.kraus_orders = expanded.kraus_orders
+        diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
+        ens, diag.dropped_mass = fk.prune_branches(expanded)
+    if squeeze and head is None:
+        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
     if keep_state:
         rows = min(max(ens.support(mass_tol), 3), n_max) + 1
     ens = ens.truncated(rows - 1)

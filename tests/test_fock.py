@@ -149,14 +149,23 @@ def _dense_generator(n_max: int) -> np.ndarray:
 
 
 class TestSqueezePropagator:
-    # n_max 5..13 covers even- and odd-length parity chains (the zero mode)
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 6, 7, 8, 12, 13])
+    # n_max 5..13 covers even- and odd-length parity chains (the zero mode);
+    # 60 and 61 take both at the squeeze of n = 100
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 6, 7, 8, 12, 13, 60, 61])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_matches_dense_expm(self, n_max, sign):
-        r = 0.8
+        r = 2.65 if n_max >= 60 else 0.8
         oracle = expm(sign * r * _dense_generator(n_max))
         got = SqueezePropagator(r, n_max).apply_columns(np.eye(n_max + 1), sign)
         assert np.abs(got - oracle).max() < 1e-12
+
+    def test_round_trip_on_unit_columns(self):
+        # S^-1 S = I on the truncated space, across the n = 100 truncation
+        n_max = 2490
+        cols = np.eye(n_max + 1)[:, np.linspace(0, n_max, 300).astype(int)]
+        prop = SqueezePropagator(2.65, n_max)
+        back = prop.apply_columns(prop.apply_columns(cols, +1), -1)
+        assert np.abs(back - cols).max() < 1e-13
 
     def test_complex_stack_splits_into_parts(self):
         rng = np.random.default_rng(3)

@@ -89,6 +89,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\)"):
             ExperimentConfig(r=1.0, eta=0.9, engine="both", tail_tol=bad)
 
+    def test_fock_photon_cap_checked_at_validation(self):
+        # target_n=1e4 used to validate and then raise TruncationError in run
+        with pytest.raises(ValueError, match=r"^target_n=10000\.0 is beyond the Fock"):
+            ExperimentConfig(target_n=1e4, eta=0.9, engine="fock")
+        with pytest.raises(ValueError, match=r"^r=6\.0 is beyond the Fock"):
+            ExperimentConfig(r=6.0, eta=0.5, engine="both")
+        # the cap binds only where the squeezer pair acts, and only in Fock
+        ExperimentConfig(target_n=1e4, eta=1.0, engine="fock")
+        ExperimentConfig(target_n=1e4, eta=0.9, engine="phase_space")
+        ExperimentConfig(target_n=1e4, eta=0.9)
+
     def test_replace_validates(self):
         cfg = ExperimentConfig(r=1.0)
         with pytest.raises(ValueError, match="^eta must lie"):
@@ -243,7 +254,38 @@ def _full_unsqueeze_block(cfg: ExperimentConfig) -> np.ndarray:
     return block
 
 
+def _materialized(cfg: ExperimentConfig):
+    """Block, Kraus orders and branch count through the whole expanded and
+    un-squeezed ensemble: full-height Kraus images, pruning, every row of
+    the inverse squeeze, the spectator loss and ``project_through_loss``."""
+    r = cfg.resolved_r()
+    n_max = fk.choose_n_max(r, cfg.tail_tol)
+    ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
+    expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol)
+    pruned, _ = fk.prune_branches(expanded)
+    ens = pruned.unsqueezed(fk.get_propagator(r, n_max))
+    if cfg.loss_on_a:
+        ens = fk.loss_on_spectator(ens, cfg.eta2)
+    block = fk.project_through_loss(ens, cfg.eta2).matrix
+    return block, expanded.kraus_orders, len(pruned)
+
+
 class TestRowProjector:
+    @pytest.mark.parametrize("eta12", [1.0, 0.9, 0.3, 0.0])
+    @pytest.mark.parametrize("eta", [0.99, 0.9, 0.5, 0.0])
+    @pytest.mark.parametrize("target_n", [1.0, 10.0, 50.0])
+    def test_projected_loss_matches_materialized(self, target_n, eta, eta12):
+        # rows of S^-1 applied per Kraus chunk (eta2 > 0) or each image's
+        # Gram factor (eta2 = 0), against the full-height route
+        for loss_on_a in (False, True):
+            cfg = ExperimentConfig(target_n=target_n, eta1=eta12, eta=eta, eta2=eta12,
+                                   loss_on_a=loss_on_a, engine="fock")
+            diag = run(cfg).diagnostics
+            block, orders, count = _materialized(cfg)
+            assert np.abs(diag.fock_matrix - block).max() <= 1e-13 * np.abs(block).max()
+            assert diag.kraus_orders == orders
+            assert diag.branch_count == count
+
     @pytest.mark.parametrize("loss_on_a", [False, True])
     @pytest.mark.parametrize("eta2", [0.0, 0.3, 0.9, 1.0])
     @pytest.mark.parametrize("target_n", [1.0, 10.0, 100.0])
