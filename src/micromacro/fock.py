@@ -14,12 +14,10 @@ pruning (a mask), the inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the
 projection onto the {0,1}x{0,1} block (one contraction).
 
 After a trailing loss the block reads only the leading photon numbers
-(``projection_rows``).  So the loss channel can keep, instead of each
-full-height Kraus image, its product with the first rows of the inverse
-squeeze (the head of S^-1 = S^T, built once per propagator and row count),
-and the expanded ensemble is never stored.  When the trailing loss is
-complete the block reads only each branch's Gram matrix, which the
-orthogonal S^-1 leaves alone, so no propagator is needed at all.
+(``projection_rows``), so the loss channel can keep, instead of each
+full-height Kraus image, its product with those rows of the inverse squeeze
+(the head of S^-1 = S^T, built once per propagator and row count): the
+expanded ensemble is never stored.
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
@@ -76,13 +74,15 @@ class BranchEnsemble:
     sit in the (sub-normalized) columns.  The pipeline keeps ``amps`` real;
     complex arrays are accepted everywhere.  ``kraus_orders`` records, per
     input branch, the highest Kraus order of the loss expansion that produced
-    the ensemble (empty otherwise).  A loss expansion that keeps projected
-    images (``loss_on_branch`` with ``head``) sets ``traces`` to the traces
-    of the full images, which is what pruning weighs.
+    the ensemble (empty otherwise).  ``full_traces``, when given, are the
+    branches' trace contributions where ``amps`` holds only leading rows of
+    them (``loss_on_branch`` with ``rows``); ``traces``, and so pruning,
+    reads them.
     """
 
     amps: np.ndarray
     kraus_orders: tuple[int, ...] = ()
+    full_traces: np.ndarray | None = None
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps)
@@ -99,6 +99,8 @@ class BranchEnsemble:
     @cached_property
     def traces(self) -> np.ndarray:
         """Trace contribution |b_k|^2 of every branch."""
+        if self.full_traces is not None:
+            return self.full_traces
         return np.einsum("ank,ank->ak", self.amps.conj(), self.amps).real.sum(axis=0)
 
     def truncated(self, n_max: int) -> "BranchEnsemble":
@@ -115,8 +117,7 @@ class BranchEnsemble:
 
     def unsqueezed(self, prop: "SqueezePropagator") -> "BranchEnsemble":
         """The image under the inverse squeeze of ``prop``, every row: the
-        columns of each arm-A half propagated.  (A run that needs only the
-        leading rows takes them per Kraus image, ``loss_on_branch(head=)``.)"""
+        columns of each arm-A half propagated."""
         return BranchEnsemble(np.stack([prop.apply_columns(a, -1) for a in self.amps]))
 
 
@@ -246,18 +247,20 @@ def mean_photon(amps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _capsule_address(capsule) -> int:
+@lru_cache(maxsize=None)
+def _dbdsdc():
+    """LAPACK's divide-and-conquer bidiagonal SVD, from scipy's Cython export
+    table (checked on scipy 1.17): all 14 arguments are pointers (Fortran
+    conventions), which the capsule's C signature is checked against."""
+    capsule = cython_lapack.__pyx_capi__["dbdsdc"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    signature = name(capsule)
+    if signature.count(b"*") != 14 or signature.count(b",") != 13:
+        raise RuntimeError(f"scipy's dbdsdc has an unexpected signature: {signature!r}")
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    return address(capsule, name(capsule))
-
-
-# LAPACK's divide-and-conquer bidiagonal SVD from scipy's Cython export table;
-# all 14 arguments are pointers (Fortran conventions)
-_DBDSDC = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(
-    _capsule_address(cython_lapack.__pyx_capi__["dbdsdc"]))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(address(capsule, signature))
 
 
 def _chain_halves(parity: int, n_max: int):
@@ -279,10 +282,10 @@ def _chain_halves(parity: int, n_max: int):
     work, iwork = np.empty(3 * size * size + 4 * size), np.empty(8 * size, np.intc)
     dim, info = ctypes.c_int(size), ctypes.c_int(0)
     unused = np.empty(1)
-    _DBDSDC(b"L", b"I", ctypes.byref(dim), sigma.ctypes.data, sub.ctypes.data,
-            u.ctypes.data, ctypes.byref(dim), v.ctypes.data, ctypes.byref(dim),
-            unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
-            iwork.ctypes.data, ctypes.byref(info))
+    _dbdsdc()(b"L", b"I", ctypes.byref(dim), sigma.ctypes.data, sub.ctypes.data,
+              u.ctypes.data, ctypes.byref(dim), v.ctypes.data, ctypes.byref(dim),
+              unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
+              iwork.ctypes.data, ctypes.byref(info))
     if info.value:
         raise np.linalg.LinAlgError(f"dbdsdc failed on the n_max={n_max} chain: info {info.value}")
     # sigma descends, so an odd chain's zero singular value comes last
@@ -374,7 +377,8 @@ def _inverse_head(prop: SqueezePropagator, rows: int) -> np.ndarray:
 
 
 def loss_on_branch(
-    ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL, head=None
+    ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL,
+    prop: SqueezePropagator | None = None, rows: int | None = None,
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
@@ -387,16 +391,18 @@ def loss_on_branch(
     or at its top occupied photon number, where the channel is captured
     exactly.
 
-    ``head`` says what each image keeps: None its full height; an
-    (R, n_max+1) array the R rows of ``head @ image``; "gram" two rows with
-    the Gram matrix of its two arm-A halves, all that a block behind a
-    complete loss reads.  ``traces`` holds the full images' either way.
+    Each image keeps photon numbers 0..rows-1 (all by default), with
+    ``prop`` those of its inverse squeeze under ``prop``, one product per
+    chunk with those rows of S^-1: the full-height expansion is never
+    stored.  ``traces`` holds the full images' either way.
     """
     _check_eta(eta)
-    if eta == 1.0 and head is None:
-        return ens
     amps = ens.amps
     n_rows = amps.shape[1]
+    height = n_rows if rows is None else min(rows, n_rows)
+    if eta == 1.0 and prop is None and height == n_rows:
+        return ens
+    head = None if prop is None else _inverse_head(prop, height)
     mass = _abs2(amps).sum(axis=0)  # (N, K)
     traces = mass.sum(axis=0)
     total = traces.sum()
@@ -436,9 +442,7 @@ def loss_on_branch(
         left[live] = left_after[np.arange(len(live)), last]
         b, j = np.nonzero(np.arange(count) <= last[:, None])
         if head is None:
-            kept = img[:, b, j]
-        elif isinstance(head, str):  # R of the QR of the (width, 2) image
-            kept = np.linalg.qr(img[:, b, j].transpose(1, 2, 0), mode="r").transpose(2, 0, 1)
+            kept = img[:, b, j, :height]
         else:
             kept = (img.reshape(-1, width) @ head[:, :width].T).reshape(
                 img.shape[:3] + (-1,))[:, b, j]
@@ -449,15 +453,12 @@ def loss_on_branch(
     # order k of branch b is column start[b] + k of the branch-major buffer
     start = np.cumsum(orders + 1) - (orders + 1)
     n_out = start[-1] + orders[-1] + 1
-    height = n_rows if head is None else 2 if isinstance(head, str) else len(head)
     out = np.zeros((2, n_out, height), np.result_type(amps, float))
-    out_traces = np.empty(n_out)
+    traces = np.empty(n_out)
     for b, k, t, kept in pieces:
         out[:, start[b] + k, : kept.shape[2]] = kept
-        out_traces[start[b] + k] = t
-    result = BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders))
-    result.traces = out_traces
-    return result
+        traces[start[b] + k] = t
+    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders), traces)
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
@@ -483,7 +484,7 @@ def prune_branches(
     keep = traces >= threshold
     dropped = float(traces[~keep].sum())
     if not keep.all():
-        ens = BranchEnsemble(ens.amps[:, :, keep])
+        ens = BranchEnsemble(ens.amps[:, :, keep], full_traces=traces[keep])
     return ens, dropped
 
 

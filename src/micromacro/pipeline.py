@@ -12,9 +12,8 @@ state as one (2, n_max+1, K) amplitude array (``BranchEnsemble``), starts it
 from the closed-form squeezed input and takes the block from
 ``project_through_loss``, after ``loss_on_spectator`` when ``loss_on_a`` is
 set.  That block reads only the leading photon numbers after the eta2 loss
-(``projection_rows``), so a plain run never holds the expanded state: the
-eta loss keeps each Kraus image's product with those rows of the inverse
-squeeze, or at eta2 = 0 each image's Gram factor, since S^-1 is orthogonal.
+(``projection_rows``), so the eta loss keeps only those rows of each Kraus
+image's inverse squeeze, and a plain run never holds the expanded state.
 With ``keep_state`` it un-squeezes the whole state, crops it at its support
 and also expands it through the eta2 loss (and the spectator loss) for the
 tomography sampler.
@@ -246,23 +245,21 @@ def _run_fock(
     # amplitude ~1e-9: quantities linear in the amplitudes (e.g. homodyne
     # densities from the kept state) stay good to ~1e-8
     mass_tol = min(cfg.tail_tol * 1e-2, 1e-18)
-    # the sampler reads the whole state, the block only its leading rows: a
-    # plain run keeps those rows of S^-1 times each Kraus image, or at eta2 = 0
-    # (all rows) each image's Gram factor
+    # the sampler reads the whole state, the block only its leading rows: the
+    # eta loss keeps those rows of the un-squeezed images, but every row is
+    # un-squeezed after pruning, which drops about half the images at eta2 = 0,
+    # and by the propagator, not by a dense (n_max+1)^2 head
     rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
-    head = None
-    if squeeze and not keep_state and cfg.eta2 == 0.0:
-        head = "gram"
-    elif squeeze and rows <= n_max:
-        head = fk._inverse_head(fk.get_propagator(r, n_max), rows)
+    prop = fk.get_propagator(r, n_max) if squeeze else None
+    every_row = prop is not None and rows > n_max
     if cfg.eta < 1.0:
         total = float(ens.traces.sum())
-        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, head)
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, None if every_row else prop, rows)
         diag.kraus_orders = expanded.kraus_orders
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
-    if squeeze and head is None:
-        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
+    if every_row:
+        ens = ens.unsqueezed(prop)
     if keep_state:
         rows = min(max(ens.support(mass_tol), 3), n_max) + 1
     ens = ens.truncated(rows - 1)

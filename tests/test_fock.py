@@ -27,7 +27,7 @@ from micromacro import (
     squeezed_vacuum,
 )
 
-from micromacro.fock import get_propagator, prune_branches
+from micromacro.fock import _CHUNK_ENTRIES, get_propagator, prune_branches
 
 from conftest import random_branches
 
@@ -353,6 +353,47 @@ class TestLossChannel:
             start += out.kraus_orders[b] + 1
         assert start == len(out)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
+    def test_chunks_match_dense_kraus(self, eta):
+        # 40 photon numbers take the orders past the first chunk of 16, and
+        # 240 branches make the entry budget, not the doubling, set the chunk
+        # length; geometric tails and random cuts retire branches mid-chunk
+        dim, count, tail_tol, r, rows = 40, 240, 1e-8, 0.7, 6
+        assert 2 * dim * count * 16 > _CHUNK_ENTRIES
+        rng = np.random.default_rng(17)
+        amps = random_branches(rng, count=count, dim=dim).amps
+        amps = amps * 0.7 ** (np.arange(dim)[:, None] * rng.uniform(0.0, 1.0, count))
+        amps[:, np.arange(dim)[:, None] > rng.integers(0, dim, count)] = 0.0
+        ens = BranchEnsemble(amps)
+        full = loss_on_branch(ens, eta, tail_tol)
+        cut = loss_on_branch(ens, eta, tail_tol, rows=rows)
+        projected = loss_on_branch(ens, eta, tail_tol, SqueezePropagator(r, dim - 1), rows)
+        inverse = expm(-r * _dense_generator(dim - 1))[:rows]
+        dense = [_dense_kraus(dim, k, eta) for k in range(dim)]
+
+        total = ens.traces.sum()
+        start = 0
+        for b in range(count):
+            images = [ens.amps[:, :, b] @ e_k.T for e_k in dense]  # (2, dim) each
+            per_order = np.array([np.vdot(img, img).real for img in images])
+            neglected = ens.traces[b] - np.cumsum(per_order)
+            share = max(tail_tol * ens.traces[b] / total, 1e-300)
+            mass = np.abs(ens.amps[:, :, b]) ** 2
+            top = int(np.flatnonzero(mass.sum(axis=0))[-1]) if mass.any() else 0
+            below = [k for k in range(top) if neglected[k] < share]
+            order = below[0] if below else top
+            assert full.kraus_orders[b] == order, b
+            for k in range(order + 1):
+                j = start + k
+                assert np.abs(full.amps[:, :, j] - images[k]).max() < 1e-14
+                assert np.abs(projected.amps[:, :, j] - images[k] @ inverse.T).max() < 1e-13
+                for out in (full, cut, projected):
+                    assert out.traces[j] == pytest.approx(per_order[k], rel=1e-13, abs=1e-300)
+            start += order + 1
+        assert start == len(full)
+        assert np.array_equal(cut.amps, full.amps[:, :rows])
+        assert cut.kraus_orders == projected.kraus_orders == full.kraus_orders
+
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
         assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
@@ -420,6 +461,17 @@ class TestEnsemble:
         assert dropped == pytest.approx(1e-16)
         assert np.array_equal(kept.amps[1, 0], [1.0, 0.5])
 
+
+    def test_prune_weighs_full_traces(self):
+        # branches held by their leading rows only: pruning weighs the full
+        # traces given, and the branches it keeps carry theirs along
+        amps = np.zeros((2, 2, 3))
+        amps[1, 0] = [1.0, 1e-8, 1e-8]
+        ens = BranchEnsemble(amps, full_traces=np.array([1.5, 1e-15, 0.5]))
+        kept, dropped = prune_branches(ens)
+        assert dropped == 1e-15
+        assert np.array_equal(kept.amps[1, 0], [1.0, 1e-8])
+        assert np.array_equal(kept.traces, [1.5, 0.5])
 
 class TestProjection:
     def test_input_state_block(self, bell_branch):

@@ -275,8 +275,8 @@ class TestRowProjector:
     @pytest.mark.parametrize("eta", [0.99, 0.9, 0.5, 0.0])
     @pytest.mark.parametrize("target_n", [1.0, 10.0, 50.0])
     def test_projected_loss_matches_materialized(self, target_n, eta, eta12):
-        # rows of S^-1 applied per Kraus chunk (eta2 > 0) or each image's
-        # Gram factor (eta2 = 0), against the full-height route
+        # rows of S^-1 applied per Kraus chunk (every row at eta2 = 0),
+        # against the full-height expansion un-squeezed afterwards
         for loss_on_a in (False, True):
             cfg = ExperimentConfig(target_n=target_n, eta1=eta12, eta=eta, eta2=eta12,
                                    loss_on_a=loss_on_a, engine="fock")
