@@ -52,7 +52,6 @@ from .tomography import (
 from .wigner import (
     GaussianPolyWigner,
     extract_projected,
-    gaussian_moment,
     initial_wigner,
     loss_convolve,
     rotated_quadrature_pdf,
@@ -80,7 +79,6 @@ __all__ = [
     "concurrence_with_uncertainty",
     "concurrence_xstate",
     "extract_projected",
-    "gaussian_moment",
     "hermite_functions",
     "initial_wigner",
     "loss_convolve",

@@ -21,7 +21,8 @@ tomography sampler.
 An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
 ``sweep`` take any config as valid.  ``from_mapping``, keyed by
 ``CONFIG_KEYS``, is the one route from key/value pairs (config files, CLI
-flags, figure grids) to a config.
+flags, figure grids) to a config.  A phase-space ``sweep`` stacks its rows and
+runs each phase-space stage once for all of them, with the kernels ``run`` uses.
 
 All runs are pure functions of the configuration, so results are bit-stable
 for a given config on a given machine.
@@ -125,11 +126,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         # the Fock engine's photon cap binds only where the squeezer pair acts
         if self.engine in ("fock", "both") and self.eta < 1.0 and self.resolved_r() > 0.0:
-            try:
-                fk.choose_n_max(self.resolved_r(), self.tail_tol)
-            except TruncationError as exc:
-                value = getattr(self, strength)
-                raise ValueError(f"{strength}={value} is beyond the Fock engine: {exc}") from None
+            self._fock_n_max(self.resolved_r(), self.tail_tol)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -154,6 +151,15 @@ class ExperimentConfig:
         """Config from a plain-text ``key = value`` file (see ``from_mapping``)."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_mapping(parse_kv_text(fh.read()))
+
+    def _fock_n_max(self, r: float, tail_tol: float) -> int:
+        """The Fock cutoff at squeeze ``r``, or a ValueError naming the strength."""
+        try:
+            return fk.choose_n_max(r, tail_tol)
+        except TruncationError as exc:
+            strength = "r" if self.r is not None else "target_n"
+            value = getattr(self, strength)
+            raise ValueError(f"{strength}={value} is beyond the Fock engine: {exc}") from None
 
     def resolved_r(self) -> float:
         return self.r if self.r is not None else solve_r_for_n(self.target_n)
@@ -239,7 +245,7 @@ def _run_fock(
     # its truncation bound must hold amplitudes to ~1e-8, not just mass
     trunc_tol = min(cfg.tail_tol, 1e-17) if keep_state else cfg.tail_tol
     # without the squeeze, arm B never leaves {0, 1}
-    n_max = fk.choose_n_max(r, trunc_tol) if squeeze else 2
+    n_max = cfg._fock_n_max(r, trunc_tol) if squeeze else 2
     diag.n_max = n_max
     ens = _initial_ensemble(cfg.eta1, r if squeeze else 0.0, n_max, trunc_tol)
     # amplitude ~1e-9: quantities linear in the amplitudes (e.g. homodyne
@@ -278,23 +284,36 @@ def _run_fock(
     return rho, diag, ens
 
 
-def _run_phase_space(
-    cfg: ExperimentConfig, r: float, squeeze: bool
-) -> tuple[ProjectedDensityMatrix, wg.GaussianPolyWigner]:
+def _run_phase_space(r, eta1, eta, eta2, loss_on_a: bool):
+    """Block(s) and final Wigner function of one config (floats) or a stack
+    (arrays), r = 0 where the squeezer pair cancels.  A stage runs if any row
+    needs it; the others pass at eta = 1 or r = 0, exact identities."""
     W = wg.initial_wigner()
-    if cfg.eta1 < 1.0:
-        W = wg.loss_convolve(W, cfg.eta1, mode="B")
+    if _any(eta1 < 1.0):
+        W = wg.loss_convolve(W, eta1, mode="B")
+    squeeze = _any(r > 0.0)
     if squeeze:
         W = wg.squeeze_rescale(W, r, sign=+1)
-    if cfg.eta < 1.0:
-        W = wg.loss_convolve(W, cfg.eta, mode="B")
+    if _any(eta < 1.0):
+        W = wg.loss_convolve(W, eta, mode="B")
     if squeeze:
         W = wg.squeeze_rescale(W, r, sign=-1)
-    if cfg.eta2 < 1.0:
-        W = wg.loss_convolve(W, cfg.eta2, mode="B")
-    if cfg.loss_on_a and cfg.eta2 < 1.0:
-        W = wg.loss_convolve(W, cfg.eta2, mode="A")
+    if _any(eta2 < 1.0):
+        W = wg.loss_convolve(W, eta2, mode="B")
+        if loss_on_a:
+            W = wg.loss_convolve(W, eta2, mode="A")
     return wg.extract_projected(W), W
+
+
+def _any(need) -> bool:
+    """Whether a stage is needed: ``need`` is one bool or an array of them."""
+    return need if isinstance(need, bool) else bool(need.any())
+
+
+def _result(cfg: ExperimentConfig, r: float, engine: str, rho_p, diag, **kept) -> ExperimentResult:
+    """The result of one config from its block: metrics and photon numbers."""
+    return ExperimentResult(cfg, rho_p, concurrence_xstate(rho_p), success_probability(rho_p),
+                            *amplified_mean_photons(r), engine, diag, **kept)
 
 
 def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
@@ -317,7 +336,10 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
         rho_fock, diag, final_branches = _run_fock(config, r, squeeze, keep_state)
         diag.fock_matrix = rho_fock.matrix
     if engine in ("phase_space", "both"):
-        rho_ps, W = _run_phase_space(config, r, squeeze)
+        block, W = _run_phase_space(
+            r if squeeze else 0.0, config.eta1, config.eta, config.eta2, config.loss_on_a
+        )
+        rho_ps = ProjectedDensityMatrix(block)
         if keep_state:
             final_wigner = W
         diag.phase_space_matrix = rho_ps.matrix
@@ -332,22 +354,10 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
         )
         rho_p = rho_ps  # closed form carries no truncation error
 
-    conc = concurrence_xstate(rho_p)
-    n0, n1, n = amplified_mean_photons(r)
-    return ExperimentResult(
-        config=config,
-        rho_p=rho_p,
-        concurrence=conc,
-        success_prob=success_probability(rho_p),
-        n0=n0,
-        n1=n1,
-        n=n,
-        engine=engine,
-        diagnostics=diag,
-        wall_time=time.perf_counter() - t0,
-        final_branches=final_branches,
-        final_wigner=final_wigner,
-    )
+    result = _result(config, r, engine, rho_p, diag, final_branches=final_branches,
+                     final_wigner=final_wigner)
+    result.wall_time = time.perf_counter() - t0
+    return result
 
 
 SWEEP_AXES = ("n", "eta", "eta12")
@@ -367,16 +377,17 @@ def _config_at(base: ExperimentConfig, axis: str, value: float) -> ExperimentCon
         return replace(base, target_n=float(value), r=None)
     if axis == "eta":
         return replace(base, eta=float(value))
-    if axis == "eta12":
-        return replace(base, eta1=float(value), eta2=float(value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    return replace(base, eta1=float(value), eta2=float(value))  # "eta12"
 
 
 def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepEntry]:
     """Run one experiment per value, rows in input order, errors collected.
 
     Individual failures are recorded on their row and do not abort the
-    sweep.
+    sweep.  A phase-space sweep (engine ``phase_space`` or ``auto``)
+    computes all its valid rows in one pass, each stage once for the whole
+    stack, and each row's ``wall_time`` is its share of that pass; other
+    engines run row by row.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
@@ -384,13 +395,37 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepEntry]:
     if not values:
         raise ValueError("sweep needs a non-empty value list")
 
-    def one(value: float) -> SweepEntry:
-        try:
-            return SweepEntry(value=value, result=run(_config_at(base, axis, value)))
-        except Exception as exc:  # noqa: BLE001 - per-row error reporting
-            return SweepEntry(value=value, error=f"{type(exc).__name__}: {exc}")
+    entries = [SweepEntry(value=v) for v in values]
+    rows = [(e, _caught(e, _config_at, base, axis, e.value)) for e in entries]
+    rows = [(entry, cfg) for entry, cfg in rows if cfg is not None]
+    if base.resolved_engine() != "phase_space" or not rows:
+        for entry, cfg in rows:
+            entry.result = _caught(entry, run, cfg)
+        return entries
 
-    return [one(v) for v in values]
+    t0 = time.perf_counter()
+    r, eta1, eta, eta2 = np.array([(c.resolved_r(), c.eta1, c.eta, c.eta2) for _, c in rows]).T
+    # as in run: without mid-stage loss the squeezer pair cancels
+    blocks, _ = _run_phase_space(np.where(eta < 1.0, r, 0.0), eta1, eta, eta2, base.loss_on_a)
+    # with no stage to run, the block is the input state's, without a row axis
+    blocks = np.broadcast_to(blocks, r.shape + (4, 4))
+    for (entry, cfg), r_row, block in zip(rows, r.tolist(), blocks):
+        rho_p = ProjectedDensityMatrix(block)
+        diag = EngineDiagnostics(phase_space_matrix=rho_p.matrix)
+        entry.result = _caught(entry, _result, cfg, r_row, "phase_space", rho_p, diag)
+    share = (time.perf_counter() - t0) / len(rows)
+    for result in filter(None, (entry.result for entry in entries)):
+        result.wall_time = share
+    return entries
+
+
+def _caught(entry: SweepEntry, fn, *args):
+    """fn(*args), or None with the error recorded on the sweep row."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - per-row error reporting
+        entry.error = f"{type(exc).__name__}: {exc}"
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from micromacro import BranchEnsemble
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Report a failed hypothesis test as a failure: hypothesis formats the
+    failing example with libcst, whose import raises a DeprecationWarning
+    (mypy_extensions.TypedDict) that the error filter would turn into a
+    pytest internal error.  Imported here first, outside that filter."""
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
+    yield
 
 
 @pytest.fixture

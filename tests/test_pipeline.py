@@ -2,9 +2,12 @@
 
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromacro import (
     ExperimentConfig,
@@ -99,6 +102,19 @@ class TestConfig:
         ExperimentConfig(target_n=1e4, eta=1.0, engine="fock")
         ExperimentConfig(target_n=1e4, eta=0.9, engine="phase_space")
         ExperimentConfig(target_n=1e4, eta=0.9)
+
+    def test_kept_state_photon_cap_names_the_strength(self):
+        # a kept Fock state is truncated at 1e-17, tighter than validation's
+        # tail_tol: these configs validate, and their kept-state run used to
+        # raise a bare TruncationError
+        cases = (
+            (ExperimentConfig(r=3.0, eta=0.9, engine="fock"), r"^r=3\.0 is beyond the Fock"),
+            (ExperimentConfig(target_n=201.0, eta=0.9, engine="both"),
+             r"^target_n=201\.0 is beyond the Fock"),
+        )
+        for cfg, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run(cfg, keep_state=True)
 
     def test_replace_validates(self):
         cfg = ExperimentConfig(r=1.0)
@@ -333,6 +349,122 @@ class TestSweep:
     def test_empty_values(self):
         with pytest.raises(ValueError):
             sweep(ExperimentConfig(r=0.5), "eta", [])
+
+    def test_wall_time_is_the_share_of_the_pass(self):
+        entries = sweep(ExperimentConfig(r=1.0, eta=0.9), "eta12", [0.9, 2.0, 0.8, 1.0])
+        times = {e.result.wall_time for e in entries if e.result is not None}
+        assert len(times) == 1 and times.pop() > 0.0
+        assert entries[1].error.startswith("ValueError: eta1 must lie in [0, 1]")
+
+
+def _row_config(base: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    """The config a sweep row along ``axis`` runs at ``value``."""
+    if axis == "n":
+        return replace(base, target_n=value, r=None)
+    if axis == "eta":
+        return replace(base, eta=value)
+    return replace(base, eta1=value, eta2=value)
+
+
+class TestBatchedSweep:
+    """A phase-space sweep runs its rows in one pass; each row must equal
+    its own ``run``."""
+
+    @pytest.mark.parametrize(
+        "base, axis, values",
+        [
+            # eta = 1 skips the squeezer pair and the eta loss, eta < 1 needs both
+            (ExperimentConfig(r=1.2, eta1=0.9, eta2=0.8), "eta", [1.0, 0.9, 0.0, 1.0, 0.5]),
+            # n = 0.5 is r = 0, so the squeezer pair is an identity on that row
+            (ExperimentConfig(r=1.0, eta=0.9, loss_on_a=True), "n", [0.5, 100.0, 0.5, 3.0]),
+            (ExperimentConfig(r=0.0, eta=0.9, loss_on_a=True), "eta12", [1.0, 0.7, 0.0, 1.0]),
+            (ExperimentConfig(target_n=100.0, eta=0.95, engine="auto"), "eta12", [1.0, 0.9]),
+            # no row needs any stage
+            (ExperimentConfig(r=1.0), "n", [0.5, 10.0, 1e4]),
+        ],
+    )
+    def test_mixed_stages_equal_run_bit_for_bit(self, base, axis, values):
+        for entry in sweep(base, axis, values):
+            direct = run(_row_config(base, axis, entry.value))
+            assert np.array_equal(entry.result.rho_p.matrix, direct.rho_p.matrix)
+            assert entry.result.concurrence == direct.concurrence
+            assert entry.result.success_prob == direct.success_prob
+            assert (entry.result.n0, entry.result.n1, entry.result.n) == (
+                direct.n0, direct.n1, direct.n
+            )
+            assert np.array_equal(
+                entry.result.diagnostics.phase_space_matrix,
+                direct.diagnostics.phase_space_matrix,
+            )
+
+    def test_closed_form_at_r_zero(self):
+        # without a squeeze the photon survives all three losses with
+        # amplitude sqrt(eta1 eta eta2): C = sqrt(eta1 eta eta2)
+        eta1, eta2 = 0.8, 0.95
+        values = [0.0, 1e-3, 0.3, 0.81, 0.99, 1.0]
+        base = ExperimentConfig(r=0.0, eta1=eta1, eta2=eta2, loss_on_a=False)
+        for entry in sweep(base, "eta", values):
+            expected = math.sqrt(eta1 * entry.value * eta2)
+            assert abs(entry.result.concurrence.value - expected) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["fig3_grid.cfg", "fig4_grid.cfg"])
+    def test_shipped_figure_grids_match_run(self, name):
+        grid = parse_kv_text(resources.files("micromacro.configs").joinpath(name).read_text())
+        floats = lambda key: [float(v) for v in grid[key].split(",")]  # noqa: E731
+        axis, values = ("n", floats("n_values")) if "n_values" in grid else (
+            "eta12", floats("eta12_values"))
+        # as `micromacro fig3`/`fig4` build it: the grid's config keys, and the
+        # first n as the strength of an n sweep
+        scalars = {k: v for k, v in grid.items() if k in pl.CONFIG_KEYS}
+        scalars.setdefault("n", values[0])
+        base = ExperimentConfig.from_mapping(scalars)
+        for eta in floats("eta_values"):
+            for entry in sweep(replace(base, eta=eta), axis, values):
+                direct = run(_row_config(replace(base, eta=eta), axis, entry.value))
+                gap = np.abs(entry.result.rho_p.matrix - direct.rho_p.matrix).max()
+                assert gap <= 1e-15 * np.abs(direct.rho_p.matrix).max()
+                assert abs(entry.result.concurrence.value - direct.concurrence.value) <= 1e-15
+
+
+_ETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# row values, some of which fail validation: n below 0.5, an eta outside [0, 1]
+_ROW_VALUES = {
+    "n": st.one_of(st.floats(0.5, 1e4), st.floats(0.0, 0.5, exclude_max=True)),
+    "eta": st.one_of(_ETAS, st.floats(-0.5, 1.5)),
+    "eta12": st.one_of(_ETAS, st.floats(-0.5, 1.5)),
+}
+
+
+@st.composite
+def _phase_space_sweeps(draw):
+    strength = draw(st.one_of(st.builds(dict, target_n=st.floats(0.5, 1e4)), st.just({"r": 0.0})))
+    base = ExperimentConfig(
+        **strength,
+        eta1=draw(_ETAS),
+        eta=draw(_ETAS),
+        eta2=draw(_ETAS),
+        loss_on_a=draw(st.booleans()),
+        engine=draw(st.sampled_from(["phase_space", "auto"])),
+    )
+    axis = draw(st.sampled_from(pl.SWEEP_AXES))
+    return base, axis, draw(st.lists(_ROW_VALUES[axis], min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_phase_space_sweeps())
+def test_sweep_rows_match_run(case):
+    base, axis, values = case
+    for entry in sweep(base, axis, values):
+        try:
+            direct = run(_row_config(base, axis, entry.value))
+        except Exception as exc:  # noqa: BLE001 - the row must carry the same error
+            assert entry.result is None
+            assert entry.error == f"{type(exc).__name__}: {exc}"
+            continue
+        assert entry.error is None
+        ref = direct.rho_p.matrix
+        assert np.abs(entry.result.rho_p.matrix - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert abs(entry.result.concurrence.value - direct.concurrence.value) <= 1e-15
 
 
 class TestConfigFiles:
