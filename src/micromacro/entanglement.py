@@ -53,14 +53,6 @@ class ProjectedDensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_xstate(cls, p00, p01, p10, p11, d=0.0, d_prime=0.0):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p00, p01, p10, p11
-        m[2, 1], m[1, 2] = d, np.conj(d)
-        m[0, 3], m[3, 0] = d_prime, np.conj(d_prime)
-        return cls(m)
-
     @property
     def p00(self) -> float:
         return self.matrix[0, 0].real
@@ -100,23 +92,6 @@ class ProjectedDensityMatrix:
         if t <= 0.0:
             raise ValueError("cannot normalize a matrix with non-positive trace")
         return ProjectedDensityMatrix(self.matrix / t)
-
-    def validate(self, eps: float = 1e-10) -> None:
-        """Check trace range, Hermiticity, positivity and 2x2 block bounds."""
-        t = self.trace
-        if not (-eps <= t <= 1.0 + eps):
-            raise ValueError(f"trace {t} outside [0, 1]")
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        if herm > eps:
-            raise ValueError(f"matrix not Hermitian, residual {herm:.3e}")
-        if t > eps:
-            evals = np.linalg.eigvalsh(self.matrix / t)
-            if evals.min() < -eps:
-                raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-        if abs(self.d) ** 2 > self.p01 * self.p10 + eps:
-            raise ValueError("|d|^2 exceeds p01*p10 block bound")
-        if abs(self.d_prime) ** 2 > self.p00 * self.p11 + eps:
-            raise ValueError("|d'|^2 exceeds p00*p11 block bound")
 
 
 @dataclass(frozen=True)

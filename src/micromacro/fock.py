@@ -8,16 +8,18 @@ by arm A's photon number, arm B's and the branch.  Arm B enters the squeezer
 in |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
 Every later stage acts on the whole array at once: the binomial photon-loss
-Kraus channel (chunks of Kraus orders, each vectorized over the branches
-still live), the spectator loss on arm A (a kept and a decayed branch each),
-pruning (a mask), the inverse squeeze unitary exp(-r (a^2 - a+^2)/2) and the
-projection onto the {0,1}x{0,1} block (one contraction).
+Kraus channel, the spectator loss on arm A (a kept and a decayed branch
+each), pruning (a mask), the inverse squeeze unitary exp(-r (a^2 - a+^2)/2)
+and the projection onto the {0,1}x{0,1} block (one contraction).
 
-After a trailing loss the block reads only the leading photon numbers
-(``projection_rows``), so the loss channel can keep, instead of each
-full-height Kraus image, its product with those rows of the inverse squeeze
-(the head of S^-1 = S^T, built once per propagator and row count): the
-expanded ensemble is never stored.
+The squeezed input holds one photon parity per arm half (vacuum family
+even, one family odd); the squeeze keeps parity and a Kraus order shifts
+it, so the loss expands half-length parity parts (chunks of at most
+``_CHUNK_ENTRIES`` half-length entries) and neither stage multiplies the
+other parity's zeros.  After a trailing loss the block reads only the
+leading photon numbers (``projection_rows``), so the loss keeps, instead of
+each Kraus image, its product with the same-parity block of those rows of
+S^-1 = S^T: the expanded ensemble is never stored.
 
 The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
 the even and odd photon sectors decouple into tridiagonal chains, and within
@@ -345,14 +347,16 @@ class SqueezePropagator:
         return self._apply_real(x.astype(float, copy=False), sign).reshape(cols.shape)
 
     def _apply_real(self, x: np.ndarray, sign: int) -> np.ndarray:
-        out = np.empty_like(x)
+        out = np.zeros_like(x)
         for p, (X, Y, c, s, z) in enumerate(self._sectors):
-            xe, xo = x[p::4], x[p + 2 :: 4]
+            # columns that are zero on the sector stay exactly zero there
+            live = np.flatnonzero(x[p::2].any(axis=0))
+            xe, xo = x[p::4, live], x[p + 2 :: 4, live]
             ae, ao = X.T @ xe, Y.T @ xo
-            out[p::4] = X @ (c * ae + sign * s * ao)
-            out[p + 2 :: 4] = Y @ (c * ao - sign * s * ae)
+            out[p::4, live] = X @ (c * ae + sign * s * ao)
+            out[p + 2 :: 4, live] = Y @ (c * ao - sign * s * ae)
             if z is not None:
-                out[p::4] += np.outer(z, z @ xe)
+                out[p::4, live] += np.outer(z, z @ xe)
         return out
 
 
@@ -363,12 +367,14 @@ def get_propagator(r: float, n_max: int) -> SqueezePropagator:
 
 
 @lru_cache(maxsize=4)
-def _inverse_head(prop: SqueezePropagator, rows: int) -> np.ndarray:
-    """Rows 0..rows-1 of S^-1 = S^T, the forward images of the first unit
-    columns, built once per (prop, rows) and read-only."""
-    head = prop.apply_columns(np.eye(prop.n_max + 1, rows), +1).T
-    head.flags.writeable = False
-    return head
+def _inverse_head(prop: SqueezePropagator, rows: int) -> tuple[np.ndarray, ...]:
+    """Rows 0..rows-1 of S^-1 = S^T as two read-only parity blocks (S keeps
+    parity): heads[p][i, j] = S^T[2j + p, 2i + p] for 2j + p < rows."""
+    forward = prop.apply_columns(np.eye(prop.n_max + 1, rows), +1)
+    heads = tuple(np.ascontiguousarray(forward[p::2, p::2]) for p in (0, 1))
+    for head in heads:
+        head.flags.writeable = False
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -384,81 +390,100 @@ def loss_on_branch(
 
     Branch b becomes branches k = 0..k_b, in branch-major order, with both
     arm-A halves mapped by (E_k psi)[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
-    psi[m+k] (at eta = 0, E_k = |0><k|: the image is row k alone).  The
-    orders are taken in chunks, each one array of images of the branches
-    still live; a branch retires at the first order whose neglected trace
-    falls below its share of ``tail_tol`` (its trace over the ensemble's),
-    or at its top occupied photon number, where the channel is captured
-    exactly.
+    psi[m+k] (at eta = 0, E_k = |0><k|: the image is row k alone).  A
+    branch retires at the first order whose neglected trace falls below its
+    share of ``tail_tol`` (its trace over the ensemble's), or at its top
+    occupied photon number, where the channel is captured exactly; a branch
+    of zero trace retires at order 0 with a zero image.
 
-    Each image keeps photon numbers 0..rows-1 (all by default), with
-    ``prop`` those of its inverse squeeze under ``prop``, one product per
-    chunk with those rows of S^-1: the full-height expansion is never
-    stored.  ``traces`` holds the full images' either way.
+    E_k maps a parity-q part (the rows 2i + q of an arm half) read from
+    i + (k+1-q)//2 onto the rows 2i + p, p = q + k (mod 2): in a chunk, the
+    orders of one parity are sliding windows of the part, and each
+    (q, k mod 2) group is one window-times-factor product.  Each image keeps
+    photon numbers 0..rows-1 (all by default), with ``prop`` those of its
+    inverse squeeze under ``prop``, one product per group with the parity-p
+    block of those rows of S^-1.  ``traces`` holds the full images' either
+    way.
     """
     _check_eta(eta)
     amps = ens.amps
-    n_rows = amps.shape[1]
+    n_rows, n_branches = amps.shape[1:]
     height = n_rows if rows is None else min(rows, n_rows)
     if eta == 1.0 and prop is None and height == n_rows:
         return ens
-    head = None if prop is None else _inverse_head(prop, height)
+    heads = None if prop is None else _inverse_head(prop, height)
     mass = _abs2(amps).sum(axis=0)  # (N, K)
     traces = mass.sum(axis=0)
-    total = traces.sum()
-    tol = np.maximum(tail_tol * (traces / total if total > 0 else 1.0), 1e-300)
+    tol = np.maximum(tail_tol * (traces / (traces.sum() or 1.0)), 1e-300)
     occupied = mass > 0
     top = np.where(occupied.any(axis=0), n_rows - 1 - np.argmax(occupied[::-1], axis=0), 0)
 
-    log_fact = gammaln(np.arange(2 * n_rows, dtype=float) + 1.0)
+    # parts[i, j] = amps[arm[i], 2j + q[i], branch[i]], even first, zero-padded for every window
+    split = np.zeros((2, n_rows + 2, 2, n_branches), amps.dtype)
+    split.reshape(2, 2 * n_rows + 4, n_branches)[:, :n_rows] = amps
+    q, arm, branch = np.nonzero(split.any(axis=1).transpose(1, 0, 2))
+    parts = split[arm, :, q, branch]
+    # C(m+k, k) eta^m (1-eta)^k = exp(2 (h[m+k] - a[m] - b[k])), h = log(n!)/2
+    h = 0.5 * gammaln(np.arange(2 * n_rows, dtype=float) + 1.0)
+    a = h[:n_rows] - 0.5 * xlogy(np.arange(n_rows), eta)
+    b = h[:n_rows] - 0.5 * xlogy(np.arange(n_rows), 1.0 - eta)
+
     left = traces.copy()
-    orders = np.zeros(len(ens), dtype=int)
-    live = np.arange(len(ens))
-    pieces = []  # (branch, order, trace, kept rows) of every image kept
+    orders = np.zeros(n_branches, dtype=int)
+    live = np.arange(n_branches)
+    kept_traces, images = [], []  # (branch, order, trace), (arm, branch, order, parity, rows)
     k0, grow = 0, 16
     while len(live):
         width = 1 if eta == 0.0 else n_rows - k0
         # chunks double up to the entry budget, so few orders cost little
-        count = max(1, min(grow, _CHUNK_ENTRIES // (2 * width * len(live))))
+        count = max(1, min(grow, _CHUNK_ENTRIES // (max(1, len(parts)) * ((width + 1) // 2))))
         count = int(min(count, top[live].max() - k0 + 1))
-        k, m = np.arange(k0, k0 + count), np.arange(width)
-        # log C(m+k, k) from the windows of one log-factorial table
-        log_c = sliding_window_view(log_fact[k0 : k0 + count + width - 1], width)
-        log_c = log_c - log_fact[k][:, None] - log_fact[:width]
-        log_c += xlogy(m, eta)
-        log_c += xlogy(k, 1.0 - eta)[:, None]
-        factors = np.exp(0.5 * log_c)
-        # rows k0.. zero-padded below n_max; window j holds rows k0 + j + m
-        band = np.zeros((2, len(live), width + count - 1), amps.dtype)
-        held = min(width + count - 1, n_rows - k0)
-        band[:, :, :held] = amps[:, k0 : k0 + held, live].transpose(0, 2, 1)
-        img = factors * sliding_window_view(band, width, axis=2)  # (2, live, count, width)
-        t = np.einsum("abjm,abjm->bj", img, img.conj()).real
+        factors = sliding_window_view(h[k0 : k0 + count + width - 1], width) - a[:width]
+        factors -= b[k0 : k0 + count, None]
+        np.exp(factors, out=factors)
+        local, odd = np.searchsorted(live, branch), np.searchsorted(q, 1)
+        windows = sliding_window_view(parts, (width + 1) // 2, axis=1)
+        groups, slots, weights = [], [np.zeros(0, int)], [np.zeros(0)]
+        for parity, mine in enumerate((slice(0, odd), slice(odd, len(q)))):
+            for s in (0, 1):  # orders k0 + s, k0 + s + 2, ...
+                p = (parity + k0 + s) % 2
+                c, w, d = (count - s + 1) // 2, (width - p + 1) // 2, (k0 + s + 1 - parity) // 2
+                if not (c and w and mine.stop > mine.start):
+                    continue
+                img = factors[s::2, p::2] * windows[mine, d : d + c, :w]
+                j = np.arange(s, count, 2)
+                slots.append((local[mine][:, None] * count + j).ravel())
+                weights.append(np.einsum("ncm,ncm->nc", img, img.conj()).real.ravel())
+                if heads is not None:
+                    img = (img.reshape(-1, w) @ heads[p][:w]).reshape(len(img), c, -1)
+                groups.append((mine, j, p, img[..., : (height - p + 1) // 2]))
+        t = np.bincount(np.concatenate(slots), np.concatenate(weights), len(live) * count)
+        t = t.reshape(len(live), count)
         left_after = np.subtract.accumulate(np.hstack([left[live, None], t]), axis=1)[:, 1:]
-        done = (left_after < tol[live, None]) | (top[live, None] == k)
+        done = (left_after < tol[live, None]) | (top[live, None] == k0 + np.arange(count))
         retired = done.any(axis=1)
         last = np.where(retired, done.argmax(axis=1), count - 1)
         orders[live[retired]] = k0 + last[retired]
         left[live] = left_after[np.arange(len(live)), last]
-        b, j = np.nonzero(np.arange(count) <= last[:, None])
-        if head is None:
-            kept = img[:, b, j, :height]
-        else:
-            kept = (img.reshape(-1, width) @ head[:, :width].T).reshape(
-                img.shape[:3] + (-1,))[:, b, j]
-        pieces.append((live[b], k0 + j, t[b, j], kept))
+        i, j = np.nonzero(np.arange(count) <= last[:, None])
+        kept_traces.append((live[i], k0 + j, t[i, j]))
+        for mine, j, p, kept in groups:
+            i, jj = np.nonzero(j <= last[local[mine], None])
+            images.append((arm[mine][i], branch[mine][i], k0 + j[jj], p, kept[i, jj]))
         live = live[~retired]
+        on = np.isin(branch, live)
+        parts, arm, q, branch = parts[on], arm[on], q[on], branch[on]
         k0, grow = k0 + count, 2 * grow
 
     # order k of branch b is column start[b] + k of the branch-major buffer
     start = np.cumsum(orders + 1) - (orders + 1)
-    n_out = start[-1] + orders[-1] + 1
-    out = np.zeros((2, n_out, height), np.result_type(amps, float))
-    traces = np.empty(n_out)
-    for b, k, t, kept in pieces:
-        out[:, start[b] + k, : kept.shape[2]] = kept
-        traces[start[b] + k] = t
-    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders), traces)
+    out = np.zeros((2, int((orders + 1).sum()), height), np.result_type(amps, float))
+    full_traces = np.empty(out.shape[1])
+    for branch, k, t in kept_traces:
+        full_traces[start[branch] + k] = t
+    for arm, branch, k, p, kept in images:
+        out[:, :, p::2][arm, start[branch] + k, : kept.shape[1]] = kept
+    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders), full_traces)
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:

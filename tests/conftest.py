@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from micromacro import BranchEnsemble
+from micromacro import BranchEnsemble, ProjectedDensityMatrix
 
 
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)
@@ -41,3 +41,32 @@ def random_branches(rng, count=3, dim=8, weights=None):
     drawn = rng.uniform(0.1, 0.4, size=count)
     weights = drawn if weights is None else np.asarray(weights)
     return BranchEnsemble(np.stack([v, u]) / scale * np.sqrt(weights))
+
+
+def xstate(p00, p01, p10, p11, d=0.0, d_prime=0.0) -> ProjectedDensityMatrix:
+    """X-state block: populations p_ij, the |10><01| coherence d and the
+    |00><11| coherence d_prime, in basis order (|00>, |01>, |10>, |11>)."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p00, p01, p10, p11
+    m[2, 1], m[1, 2] = d, np.conj(d)
+    m[0, 3], m[3, 0] = d_prime, np.conj(d_prime)
+    return ProjectedDensityMatrix(m)
+
+
+def check_physical(rho: ProjectedDensityMatrix, eps: float = 1e-10) -> None:
+    """Raise ValueError unless the block has trace in [0, 1], is Hermitian and
+    positive, and keeps both 2x2 coherence bounds (each to ``eps``)."""
+    t = rho.trace
+    if not (-eps <= t <= 1.0 + eps):
+        raise ValueError(f"trace {t} outside [0, 1]")
+    herm = np.abs(rho.matrix - rho.matrix.conj().T).max()
+    if herm > eps:
+        raise ValueError(f"matrix not Hermitian, residual {herm:.3e}")
+    if t > eps:
+        evals = np.linalg.eigvalsh(rho.matrix / t)
+        if evals.min() < -eps:
+            raise ValueError(f"negative eigenvalue {evals.min():.3e}")
+    if abs(rho.d) ** 2 > rho.p01 * rho.p10 + eps:
+        raise ValueError("|d|^2 exceeds p01*p10 block bound")
+    if abs(rho.d_prime) ** 2 > rho.p00 * rho.p11 + eps:
+        raise ValueError("|d'|^2 exceeds p00*p11 block bound")

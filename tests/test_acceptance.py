@@ -30,6 +30,8 @@ from micromacro.entanglement import ProjectedDensityMatrix
 from micromacro.fock import get_propagator
 from micromacro.wigner import GaussianPolyWigner, initial_wigner
 
+from conftest import xstate
+
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[1, 1] = BELL[2, 2] = BELL[2, 1] = BELL[1, 2] = 0.5
 
@@ -211,7 +213,7 @@ def test_criterion_09_concurrence_route_agreement():
         dp = rng.uniform(0, 1) * math.sqrt(p[0] * p[3]) * np.exp(
             1j * rng.uniform(0, 2 * math.pi)
         )
-        rho = ProjectedDensityMatrix.from_xstate(p[0], p[1], p[2], p[3], d, dp)
+        rho = xstate(p[0], p[1], p[2], p[3], d, dp)
         gap = abs(
             concurrence_xstate(rho).value - concurrence_general(rho).value
         )

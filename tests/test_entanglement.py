@@ -18,9 +18,11 @@ from micromacro import (
 )
 from micromacro.entanglement import spin_flip_concurrence
 
+from conftest import check_physical, xstate
+
 
 def bell_matrix() -> ProjectedDensityMatrix:
-    return ProjectedDensityMatrix.from_xstate(0.0, 0.5, 0.5, 0.0, d=0.5)
+    return xstate(0.0, 0.5, 0.5, 0.0, d=0.5)
 
 
 def unnormalized_xstate(rho: ProjectedDensityMatrix) -> float:
@@ -40,7 +42,7 @@ def random_physical_xstate(rng) -> ProjectedDensityMatrix:
         * np.sqrt(p[0] * p[3])
         * np.exp(1j * rng.uniform(0, 2 * np.pi))
     )
-    return ProjectedDensityMatrix.from_xstate(p[0], p[1], p[2], p[3], d, dp)
+    return xstate(p[0], p[1], p[2], p[3], d, dp)
 
 
 class TestConcurrenceGeneral:
@@ -50,14 +52,14 @@ class TestConcurrenceGeneral:
         assert res.branch == "d"
 
     def test_product_state(self):
-        rho = ProjectedDensityMatrix.from_xstate(1.0, 0.0, 0.0, 0.0)
+        rho = xstate(1.0, 0.0, 0.0, 0.0)
         res = concurrence_general(rho)
         assert res.value == 0.0
         assert res.branch == "zero"
 
     def test_single_photon_loss_value(self):
         # eta=0.81 loss on the input state: C = sqrt(0.81) = 0.9 exactly
-        rho = ProjectedDensityMatrix.from_xstate(0.095, 0.405, 0.5, 0.0, d=0.45)
+        rho = xstate(0.095, 0.405, 0.5, 0.0, d=0.45)
         assert concurrence_general(rho).value == pytest.approx(0.9, abs=1e-12)
 
     def test_eigenvalue_identity(self):
@@ -94,7 +96,7 @@ class TestConcurrenceGeneral:
 
     def test_nonpositive_raises(self):
         # |d| far above sqrt(p01 p10) violates positivity
-        rho = ProjectedDensityMatrix.from_xstate(0.0, 0.5, 0.5, 0.0, d=0.9)
+        rho = xstate(0.0, 0.5, 0.5, 0.0, d=0.9)
         with pytest.raises(ValueError):
             concurrence_general(rho)
 
@@ -121,7 +123,7 @@ class TestConcurrenceXState:
         value, branch = xstate_formula(0.1, 0.25, 0.25, 0.1, 0.3, 0.0)
         assert value == pytest.approx(0.4, abs=1e-15)
         assert branch == "d"
-        rho = ProjectedDensityMatrix.from_xstate(0.1, 0.25, 0.25, 0.1, d=0.3)
+        rho = xstate(0.1, 0.25, 0.25, 0.1, d=0.3)
         assert unnormalized_xstate(rho) == pytest.approx(0.4, abs=1e-15)
 
     def test_bell_state(self):
@@ -160,19 +162,19 @@ class TestSuccessProbability:
         assert success_probability(bell_matrix()) == pytest.approx(1.0)
 
     def test_unnormalized_trace(self):
-        rho = ProjectedDensityMatrix.from_xstate(0.1, 0.2, 0.3, 0.05)
+        rho = xstate(0.1, 0.2, 0.3, 0.05)
         assert success_probability(rho) == pytest.approx(0.65)
 
 
 class TestProjectedDensityMatrix:
     def test_validation_passes_for_physical(self):
         rng = np.random.default_rng(2)
-        random_physical_xstate(rng).validate()
+        check_physical(random_physical_xstate(rng))
 
     def test_validation_rejects_block_violation(self):
-        rho = ProjectedDensityMatrix.from_xstate(0.0, 0.5, 0.5, 0.0, d=0.6)
+        rho = xstate(0.0, 0.5, 0.5, 0.0, d=0.6)
         with pytest.raises(ValueError):
-            rho.validate()
+            check_physical(rho)
 
     def test_off_x_max(self):
         m = np.zeros((4, 4), dtype=complex)

@@ -27,6 +27,7 @@ from micromacro import (
     squeezed_vacuum,
 )
 
+from micromacro import pipeline as pl
 from micromacro.fock import _CHUNK_ENTRIES, get_propagator, prune_branches
 
 from conftest import random_branches
@@ -394,6 +395,21 @@ class TestLossChannel:
         assert np.array_equal(cut.amps, full.amps[:, :rows])
         assert cut.kraus_orders == projected.kraus_orders == full.kraus_orders
 
+    def test_zero_trace_branches_retire_at_order_zero(self):
+        out = loss_on_branch(BranchEnsemble(np.zeros((2, 5, 2))), 0.5)
+        assert out.kraus_orders == (0, 0)
+        assert out.amps.shape == (2, 5, 2)
+        assert not out.amps.any()
+        assert np.array_equal(out.traces, [0.0, 0.0])
+
+    def test_empty_ensemble_keeps_its_height(self):
+        empty = BranchEnsemble(np.zeros((2, 5, 0)))
+        for prop, rows in ((None, None), (None, 3), (SqueezePropagator(0.5, 4), 3)):
+            out = loss_on_branch(empty, 0.5, prop=prop, rows=rows)
+            assert out.amps.shape == (2, 5 if rows is None else rows, 0)
+            assert out.kraus_orders == ()
+            assert len(out.traces) == 0
+
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
         assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
@@ -426,6 +442,68 @@ class TestLossChannel:
 
         oracle = sum(k @ two_mode(ens) @ k.T for k in kraus)
         assert np.abs(two_mode(out) - oracle).max() < 1e-14
+
+
+class TestParityParts:
+    """The squeezed input holds one photon parity per arm half, and so does
+    every Kraus image and every propagated column: the loss channel and the
+    propagator work on those parts alone."""
+
+    @pytest.mark.parametrize("eta1", [1.0, 0.9])
+    @pytest.mark.parametrize("target_n", [1.0, 10.0])
+    def test_squeezed_input_against_dense_kraus(self, target_n, eta1):
+        eta, tail_tol, rows = 0.9, 1e-10, 7
+        r = pl.solve_r_for_n(target_n)
+        n_max = choose_n_max(r, tail_tol)
+        ens = pl._initial_ensemble(eta1, r, n_max, tail_tol)
+        full = loss_on_branch(ens, eta, tail_tol)
+        cut = loss_on_branch(ens, eta, tail_tol, rows=rows)
+        projected = loss_on_branch(ens, eta, tail_tol, SqueezePropagator(r, n_max), rows)
+        inverse = expm(-r * _dense_generator(n_max))[:rows]
+        assert cut.kraus_orders == projected.kraus_orders == full.kraus_orders
+        start = 0
+        for b, order in enumerate(full.kraus_orders):
+            # each arm half holds one parity, or is empty
+            parity = [set(np.flatnonzero(half) % 2) for half in ens.amps[:, :, b]]
+            assert all(len(q) <= 1 for q in parity)
+            for k in range(order + 1):
+                image = ens.amps[:, :, b] @ _dense_kraus(n_max + 1, k, eta).T
+                j = start + k
+                assert np.abs(full.amps[:, :, j] - image).max() < 1e-14
+                assert np.abs(cut.amps[:, :, j] - image[:, :rows]).max() < 1e-14
+                assert np.abs(projected.amps[:, :, j] - image @ inverse.T).max() < 1e-13
+                # the image of a parity-q half is exactly 0 off the rows of parity q + k
+                for a, q in enumerate(parity):
+                    allowed = {(q0 + k) % 2 for q0 in q}
+                    for out in (full, cut, projected):
+                        assert set(np.flatnonzero(out.amps[a, :, j]) % 2) <= allowed
+            start += order + 1
+        assert start == len(full)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n_max", [40, 41])
+    def test_zero_sector_columns_are_skipped_exactly(self, n_max, sign):
+        # full, even-only, odd-only and zero columns in one stack: each
+        # sector propagates only the columns that are nonzero on it, as one
+        # stack of just those columns does, and the others stay exactly 0
+        rng = np.random.default_rng(5)
+        cols = rng.normal(size=(n_max + 1, 8))
+        cols[1::2, [1, 5]] = 0.0
+        cols[0::2, [2, 6]] = 0.0
+        cols[:, 3] = 0.0
+        prop = SqueezePropagator(0.8, n_max)
+        whole = prop.apply_columns(cols, sign)
+        for p in (0, 1):
+            live = np.flatnonzero(cols[p::2].any(axis=0))
+            alone = prop.apply_columns(cols[:, live], sign)
+            for j in range(cols.shape[1]):
+                if j in live:
+                    expected = alone[p::2, live.tolist().index(j)]
+                else:
+                    expected = np.zeros_like(whole[p::2, j])
+                assert np.array_equal(whole[p::2, j], expected), (p, j)
+        oracle = expm(sign * 0.8 * _dense_generator(n_max)) @ cols
+        assert np.abs(whole - oracle).max() < 1e-12
 
 
 class TestEnsemble:
