@@ -25,7 +25,6 @@ from .errors import (
 from .fock import (
     BranchEnsemble,
     SqueezePropagator,
-    branches_to_projected,
     choose_n_max,
     loss_on_branch,
     loss_on_spectator,
@@ -73,7 +72,6 @@ __all__ = [
     "TomographyRecord",
     "TruncationError",
     "amplified_mean_photons",
-    "branches_to_projected",
     "choose_n_max",
     "concurrence_general",
     "concurrence_with_uncertainty",

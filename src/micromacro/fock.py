@@ -17,17 +17,13 @@ even, one family odd); the squeeze keeps parity and a Kraus order shifts
 it, so the loss expands half-length parity parts (chunks of at most
 ``_CHUNK_ENTRIES`` half-length entries) and neither stage multiplies the
 other parity's zeros.  After a trailing loss the block reads only the
-leading photon numbers (``projection_rows``), so the loss keeps, instead of
-each Kraus image, its product with the same-parity block of those rows of
-S^-1 = S^T: the expanded ensemble is never stored.
-
-The squeeze generator is real antisymmetric and couples only n <-> n+-2, so
-the even and odd photon sectors decouple into tridiagonal chains, and within
-a chain it links the sites n = p (mod 4) only to the sites n = p+2 (mod 4).
-Its exponential is therefore real orthogonal and is applied in real
-arithmetic from the SVD of a half-size bidiagonal block (see
-SqueezePropagator), built once per (r, n_max) and reused across all branch
-columns of a run.
+leading photon numbers (``projection_rows``), so the loss keeps, in place
+of each Kraus image, its product with the same-parity block of those rows
+of S^-1 = S^T and never stores the expanded ensemble.  Up to 24 rows come
+from the recurrence of the columns S(r)|j> in the photon number
+(``_inverse_head``).  SqueezePropagator, exp(rT) of the parity-decoupled
+generator from the SVD of a half-size bidiagonal block per parity, built
+once per (r, n_max), serves taller heads and the full-height un-squeeze.
 """
 
 from __future__ import annotations
@@ -140,17 +136,6 @@ def _log_probs_squeezed(r: float, k: np.ndarray, parity: int) -> np.ndarray:
     )
 
 
-def _log_suffix_tails(logp: np.ndarray, log_ratio_bound: float) -> np.ndarray:
-    """log of sum_{j>k} p_j for each k, including a geometric remainder bound
-    for the terms beyond the computed range (ratio bounded by exp(log_ratio_bound))."""
-    if log_ratio_bound < 0.0:
-        rest = logp[-1] + log_ratio_bound - math.log1p(-math.exp(log_ratio_bound))
-    else:
-        rest = math.inf  # cannot certify the remainder
-    padded = np.concatenate([logp[1:], [rest]])
-    return np.logaddexp.accumulate(padded[::-1])[::-1]
-
-
 @lru_cache(maxsize=16)
 def _log_tails(r: float, parity: int, top: int) -> np.ndarray:
     """log of sum_{j>k} p_{2j+parity} for k = 0..top (read-only, cached for
@@ -160,7 +145,11 @@ def _log_tails(r: float, parity: int, top: int) -> np.ndarray:
     family (q = tanh^2 r)."""
     log_ratio = 2.0 * math.log(math.tanh(r)) + math.log1p(parity / (2.0 * top + 2.0))
     logp = _log_probs_squeezed(r, np.arange(top + 1), parity)
-    tails = _log_suffix_tails(logp, log_ratio)
+    if log_ratio < 0.0:
+        rest = logp[-1] + log_ratio - math.log1p(-math.exp(log_ratio))
+    else:
+        rest = math.inf  # cannot certify the remainder
+    tails = np.logaddexp.accumulate(np.concatenate([logp[1:], [rest]])[::-1])[::-1]
     tails.flags.writeable = False
     return tails
 
@@ -295,7 +284,9 @@ def _chain_halves(parity: int, n_max: int):
 
 
 class SqueezePropagator:
-    """Applies exp(sign * r * (a^2 - a+^2)/2) to stacks of Fock columns.
+    """Applies exp(sign * r * (a^2 - a+^2)/2) to stacks of Fock columns: the
+    full-height un-squeeze (kept states, eta2 = 0) and heads of S^-1 taller
+    than ``_RECURRENCE_ROWS`` rows (eta2 < 0.88).
 
     On a parity chain n = p, p+2, ... the generator is a real antisymmetric
     tridiagonal T with T[j, j+1] = b_j = sqrt((n_j+1)(n_j+2))/2.  It links
@@ -308,11 +299,10 @@ class SqueezePropagator:
                    [   -Y S X^T,      Y C Y^T]],
 
     where z spans the null space of K^T on an odd-length chain.  The SVD is
-    one LAPACK ``dbdsdc`` call (divide and conquer) per parity on K made
-    square, of size ceil(m/2): an odd chain gets one zero column, whose zero
-    singular value has z as its left vector.  X and Y are views of the U and
-    VT it returns.  A step is four real (m/2, m/2) @ (m/2, cols) products
-    per parity, and the cache holds half of a dense (m, m) matrix per
+    one LAPACK ``dbdsdc`` call per parity on K made square, of size
+    ceil(m/2): an odd chain gets one zero column, whose zero singular value
+    has z as its left vector.  A step is four real (m/2, m/2) @ (m/2, cols)
+    products per parity; the cache holds half of a dense (m, m) matrix per
     parity.  Complex columns propagate as their real and imaginary parts.
     The map is orthogonal on the truncated space, hence exactly
     norm-preserving; truncation shows up only as reflection near n_max.
@@ -366,11 +356,36 @@ def get_propagator(r: float, n_max: int) -> SqueezePropagator:
     return SqueezePropagator(r, n_max)
 
 
+#: tallest head of S^-1 from the photon-number recurrence, whose worst error
+#: (40-digit check) about doubles per column: 2.6e-13 at j = 20, 1.6e-12 at
+#: 23 (n in [0.6, 300]), 8.9e-12 at 26.  It holds k* at every eta2 >= 0.88.
+_RECURRENCE_ROWS = 24
+
+
 @lru_cache(maxsize=4)
-def _inverse_head(prop: SqueezePropagator, rows: int) -> tuple[np.ndarray, ...]:
-    """Rows 0..rows-1 of S^-1 = S^T as two read-only parity blocks (S keeps
-    parity): heads[p][i, j] = S^T[2j + p, 2i + p] for 2j + p < rows."""
-    forward = prop.apply_columns(np.eye(prop.n_max + 1, rows), +1)
+def _inverse_head(r: float, n_max: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Rows 0..rows-1 of S(r)^-1 = S(r)^T on photon numbers 0..n_max as two
+    read-only parity blocks (S keeps parity): heads[p][i, j] = S^T[2j + p,
+    2i + p] for 2j + p < rows, so row j holds psi_j = S(r)|j>.  Up to
+    ``_RECURRENCE_ROWS`` rows they follow from S a S^-1 = cosh r a + sinh r a+
+    (Kim, de Oliveira & Knight, PRA 40, 2494 (1989)), the squeezed vacuum psi_0
+    and psi_j[0] = <0|S|j> = |psi_0[j]|, each row m+1 from rows <= m:
+    psi_j[m+1] = (sqrt(j) psi_{j-1}[m] - sinh r sqrt(m) psi_j[m-1]) / (cosh r sqrt(m+1)),
+    i.e. x = h cumsum(b / h) on a parity chain, h = cumprod(-tanh r sqrt((m-1)/m))
+    above e^-650 at n_max.  That is S(r)|j> cut at n_max; the propagator's
+    head, for the rest, holds the columns of the truncated unitary."""
+    if rows <= _RECURRENCE_ROWS and r > 0.0 and n_max * math.log(math.tanh(r)) > -1300.0:
+        k, m = np.arange(n_max // 2 + 1), np.arange(1, n_max + 1, dtype=float)
+        forward = np.zeros((n_max + 1, rows))
+        forward[0::2, 0] = np.exp(0.5 * _log_probs_squeezed(r, k, 0)) * (-1.0) ** k
+        a = np.r_[1.0, 1.0, -math.tanh(r) * np.sqrt(1.0 - 1.0 / m[1:])]  # 0, 1 start chains
+        h, b = [np.cumprod(a[p::2]) for p in (0, 1)], np.zeros(n_max + 1)
+        for j in range(1, rows):
+            b[0] = abs(forward[j, 0])
+            b[1:] = math.sqrt(j) * forward[:-1, j - 1] / (math.cosh(r) * np.sqrt(m))
+            forward[j % 2 :: 2, j] = h[j % 2] * np.cumsum(b[j % 2 :: 2] / h[j % 2])
+    else:
+        forward = get_propagator(r, n_max).apply_columns(np.eye(n_max + 1, rows), +1)
     heads = tuple(np.ascontiguousarray(forward[p::2, p::2]) for p in (0, 1))
     for head in heads:
         head.flags.writeable = False
@@ -384,7 +399,7 @@ def _inverse_head(prop: SqueezePropagator, rows: int) -> tuple[np.ndarray, ...]:
 
 def loss_on_branch(
     ens: BranchEnsemble, eta: float, tail_tol: float = DEFAULT_TAIL_TOL,
-    prop: SqueezePropagator | None = None, rows: int | None = None,
+    r: float | None = None, rows: int | None = None,
 ) -> BranchEnsemble:
     """Expand every branch through the binomial loss channel on mode B.
 
@@ -400,18 +415,18 @@ def loss_on_branch(
     i + (k+1-q)//2 onto the rows 2i + p, p = q + k (mod 2): in a chunk, the
     orders of one parity are sliding windows of the part, and each
     (q, k mod 2) group is one window-times-factor product.  Each image keeps
-    photon numbers 0..rows-1 (all by default), with ``prop`` those of its
-    inverse squeeze under ``prop``, one product per group with the parity-p
-    block of those rows of S^-1.  ``traces`` holds the full images' either
-    way.
+    photon numbers 0..rows-1 (all by default), with ``r`` > 0 those of its
+    inverse squeeze, one product per group with the parity-p block of those
+    rows of S(r)^-1 (``_inverse_head``).  ``traces`` holds the full images'
+    either way.
     """
     _check_eta(eta)
     amps = ens.amps
     n_rows, n_branches = amps.shape[1:]
     height = n_rows if rows is None else min(rows, n_rows)
-    if eta == 1.0 and prop is None and height == n_rows:
+    if eta == 1.0 and not r and height == n_rows:
         return ens
-    heads = None if prop is None else _inverse_head(prop, height)
+    heads = _inverse_head(r, n_rows - 1, height) if r else None
     mass = _abs2(amps).sum(axis=0)  # (N, K)
     traces = mass.sum(axis=0)
     tol = np.maximum(tail_tol * (traces / (traces.sum() or 1.0)), 1e-300)
@@ -518,18 +533,6 @@ def prune_branches(
 # ---------------------------------------------------------------------------
 
 
-def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
-    """Accumulate the unnormalized 4x4 block from the branch ensemble.
-
-    Rows 0 and 1 of both arm-A halves, ``amps[:, :2]`` flattened, are the
-    block coefficients in basis order (|00>, |01>, |10>, |11>) = 2 i_A + j_B;
-    the matrix is the sum of their outer products, so d = sum_k
-    amps[1, 0, k] amps[0, 1, k]^* lands at position [2, 1].
-    """
-    c = ens.amps[:, :2].reshape(4, len(ens))
-    return ProjectedDensityMatrix(c @ c.conj().T)
-
-
 def projection_rows(eta: float, n_max: int, mass_tol: float) -> int:
     """How many leading photon-number rows ``project_through_loss`` needs.
 
@@ -553,8 +556,8 @@ def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMat
     so the k-sum collapses to closed form:
     (E_k w)[0] = (1-eta)^(k/2) w[k] and
     (E_k w)[1] = sqrt(eta (k+1)) (1-eta)^(k/2) w[k+1].
-    Algebraically identical to loss_on_branch followed by
-    branches_to_projected, summed over all Kraus orders.
+    Algebraically identical to loss_on_branch followed by the Gram matrix
+    of the images' rows 0 and 1, summed over all Kraus orders.
     """
     _check_eta(eta)
     n = np.arange(ens.n_max + 1, dtype=float)

@@ -252,20 +252,19 @@ def _run_fock(
     # densities from the kept state) stay good to ~1e-8
     mass_tol = min(cfg.tail_tol * 1e-2, 1e-18)
     # the sampler reads the whole state, the block only its leading rows: the
-    # eta loss keeps those rows of the un-squeezed images, but every row is
-    # un-squeezed after pruning, which drops about half the images at eta2 = 0,
-    # and by the propagator, not by a dense (n_max+1)^2 head
+    # eta loss keeps those rows of the un-squeezed images (no propagator at
+    # eta2 >= 0.88), but every row is un-squeezed after pruning, which drops
+    # about half the images at eta2 = 0, and by the propagator, not a dense head
     rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
-    prop = fk.get_propagator(r, n_max) if squeeze else None
-    every_row = prop is not None and rows > n_max
+    every_row = squeeze and rows > n_max
     if cfg.eta < 1.0:
         total = float(ens.traces.sum())
-        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, None if every_row else prop, rows)
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, None if every_row else r, rows)
         diag.kraus_orders = expanded.kraus_orders
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
     if every_row:
-        ens = ens.unsqueezed(prop)
+        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
     if keep_state:
         rows = min(max(ens.support(mass_tol), 3), n_max) + 1
     ens = ens.truncated(rows - 1)

@@ -43,6 +43,16 @@ def random_branches(rng, count=3, dim=8, weights=None):
     return BranchEnsemble(np.stack([v, u]) / scale * np.sqrt(weights))
 
 
+def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
+    """The unnormalized 4x4 block of the branch ensemble: rows 0 and 1 of
+    both arm-A halves, ``amps[:, :2]`` flattened, are the block coefficients
+    in basis order (|00>, |01>, |10>, |11>) = 2 i_A + j_B, and the block is
+    the sum of their outer products, so d = sum_k amps[1, 0, k] amps[0, 1, k]^*
+    lands at position [2, 1] (the oracle of ``project_through_loss``)."""
+    c = ens.amps[:, :2].reshape(4, len(ens))
+    return ProjectedDensityMatrix(c @ c.conj().T)
+
+
 def xstate(p00, p01, p10, p11, d=0.0, d_prime=0.0) -> ProjectedDensityMatrix:
     """X-state block: populations p_ij, the |10><01| coherence d and the
     |00><11| coherence d_prime, in basis order (|00>, |01>, |10>, |11>)."""

@@ -9,6 +9,7 @@ propagator against scipy.linalg.expm of the dense truncated generator.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,7 +18,6 @@ from micromacro import (
     BranchEnsemble,
     SqueezePropagator,
     TruncationError,
-    branches_to_projected,
     choose_n_max,
     loss_on_branch,
     loss_on_spectator,
@@ -27,10 +27,11 @@ from micromacro import (
     squeezed_vacuum,
 )
 
+from micromacro import fock as fk
 from micromacro import pipeline as pl
 from micromacro.fock import _CHUNK_ENTRIES, get_propagator, prune_branches
 
-from conftest import random_branches
+from conftest import branches_to_projected, random_branches
 
 # mpmath oracle, 40 digits: (1/sqrt(cosh r)) * sqrt((2k)!)/(2^k k!) * (-tanh r)^k
 SV_05 = {
@@ -149,6 +150,13 @@ def _dense_generator(n_max: int) -> np.ndarray:
     return out
 
 
+def _padded_inverse_head(r: float, n_max: int, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of S(r)^-1 on photon numbers 0..n_max, from expm of
+    the dense generator on 4 n_max + 64 photons: the exact operator's entries,
+    clear of the truncation's reflection off n_max."""
+    return expm(-r * _dense_generator(4 * n_max + 64))[:rows, : n_max + 1]
+
+
 class TestSqueezePropagator:
     # n_max 5..13 covers even- and odd-length parity chains (the zero mode);
     # 60 and 61 take both at the squeeze of n = 100
@@ -184,6 +192,82 @@ class TestSqueezePropagator:
     def test_vector_input_keeps_shape(self):
         out = SqueezePropagator(0.5, 9).apply_columns(_fock(1, 9))
         assert out.shape == (10,)
+
+
+def _mp_squeezed_columns(r: float, n_max: int, count: int) -> np.ndarray:
+    """40-digit oracle of S(r)|j>, j < count, on rows 0..n_max: the squeezed
+    vacuum in closed form, <0|S|j> = |<j|S|0>| for even j, and the row
+    recurrence psi_j[m+1] = (sqrt(j) psi_{j-1}[m] - sinh r sqrt(m)
+    psi_j[m-1]) / (cosh r sqrt(m+1)) stepped one row at a time."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(r)
+        c, s, t = mpmath.cosh(x), mpmath.sinh(x), mpmath.tanh(x)
+
+        def vacuum(n, sign):  # <n|S(+-r)|0>
+            k = n // 2
+            return (sign * t) ** k * mpmath.sqrt(mpmath.factorial(n)) / (
+                2**k * mpmath.factorial(k) * mpmath.sqrt(c))
+
+        cols = [[vacuum(n, -1) if n % 2 == 0 else 0 for n in range(n_max + 1)]]
+        for j in range(1, count):
+            col = [vacuum(j, +1) if j % 2 == 0 else mpmath.mpf(0)] + [0] * n_max
+            for m in range(j % 2 == 0, n_max, 2):
+                below = col[m - 1] if m else 0
+                col[m + 1] = (mpmath.sqrt(j) * cols[-1][m] - s * mpmath.sqrt(m) * below) / (
+                    c * mpmath.sqrt(m + 1))
+            cols.append(col)
+        return np.array([[float(v) for v in col] for col in cols]).T
+
+
+class TestInverseHead:
+    """The head of S^-1 a plain run's loss reads: at most 24 rows from the
+    photon-number recurrence, taller heads from the propagator."""
+
+    @pytest.mark.parametrize("target_n", [1.0, 10.0, 100.0, 300.0])
+    def test_recurrence_matches_mpmath(self, target_n):
+        # the recurrence for rows <= R reads only rows <= R, so the
+        # comparison crops the chain at 400 photons
+        r = pl.solve_r_for_n(target_n)
+        rows, n_max = fk._RECURRENCE_ROWS, min(choose_n_max(r), 400)
+        heads = fk._inverse_head(r, n_max, rows)
+        full = fk._inverse_head(r, choose_n_max(r), rows)
+        oracle = _mp_squeezed_columns(r, n_max, rows)
+        for p in (0, 1):
+            assert np.abs(heads[p] - oracle[p::2, p::2]).max() <= 2e-12
+            assert np.array_equal(heads[p], full[p][: len(heads[p])])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 6, 13, 32])
+    @pytest.mark.parametrize("rows", [2, 7, 21, 24])
+    def test_recurrence_head_matches_padded_expm(self, n_max, rows):
+        r = 0.6 if n_max < 32 else pl.solve_r_for_n(1.0)
+        rows = min(rows, n_max + 1)
+        heads = fk._inverse_head(r, n_max, rows)
+        oracle = _padded_inverse_head(r, n_max, rows)
+        for p in (0, 1):
+            assert np.abs(heads[p] - oracle[p::2, p::2].T).max() < 1e-13
+            assert not heads[p].flags.writeable
+
+    def test_route_turns_at_24_rows(self):
+        # near the truncation the two routes differ by far more than their
+        # error: 24 rows hold S(r)|j> cut at n_max, 25 rows the columns of
+        # the unitary on the truncated space
+        r, n_max = 0.8, 40
+        exact = _padded_inverse_head(r, n_max, 25)
+        truncated = expm(-r * _dense_generator(n_max))[:25]
+        assert np.abs(exact - truncated).max() > 0.1
+        for rows, oracle in ((24, exact[:24]), (25, truncated)):
+            heads = fk._inverse_head(r, n_max, rows)
+            for p in (0, 1):
+                assert np.abs(heads[p] - oracle[p::2, p::2].T).max() < 1e-12, rows
+
+    @pytest.mark.parametrize("r, n_max", [(0.0, 10), (1e-3, 400)])
+    def test_degenerate_chains_are_propagated(self, r, n_max):
+        # at r = 0, or where tanh(r)^(n_max/2) falls below e^-650, the
+        # recurrence's homogeneous solution vanishes or underflows
+        heads = fk._inverse_head(r, n_max, 6)
+        oracle = expm(-r * _dense_generator(n_max))[:6]
+        for p in (0, 1):
+            assert np.abs(heads[p] - oracle[p::2, p::2].T).max() < 1e-13
 
 
 def _forward(amps: np.ndarray, r: float) -> np.ndarray:
@@ -368,8 +452,8 @@ class TestLossChannel:
         ens = BranchEnsemble(amps)
         full = loss_on_branch(ens, eta, tail_tol)
         cut = loss_on_branch(ens, eta, tail_tol, rows=rows)
-        projected = loss_on_branch(ens, eta, tail_tol, SqueezePropagator(r, dim - 1), rows)
-        inverse = expm(-r * _dense_generator(dim - 1))[:rows]
+        projected = loss_on_branch(ens, eta, tail_tol, r, rows)
+        inverse = _padded_inverse_head(r, dim - 1, rows)
         dense = [_dense_kraus(dim, k, eta) for k in range(dim)]
 
         total = ens.traces.sum()
@@ -404,8 +488,8 @@ class TestLossChannel:
 
     def test_empty_ensemble_keeps_its_height(self):
         empty = BranchEnsemble(np.zeros((2, 5, 0)))
-        for prop, rows in ((None, None), (None, 3), (SqueezePropagator(0.5, 4), 3)):
-            out = loss_on_branch(empty, 0.5, prop=prop, rows=rows)
+        for r, rows in ((None, None), (None, 3), (0.5, 3)):
+            out = loss_on_branch(empty, 0.5, r=r, rows=rows)
             assert out.amps.shape == (2, 5 if rows is None else rows, 0)
             assert out.kraus_orders == ()
             assert len(out.traces) == 0
@@ -458,8 +542,8 @@ class TestParityParts:
         ens = pl._initial_ensemble(eta1, r, n_max, tail_tol)
         full = loss_on_branch(ens, eta, tail_tol)
         cut = loss_on_branch(ens, eta, tail_tol, rows=rows)
-        projected = loss_on_branch(ens, eta, tail_tol, SqueezePropagator(r, n_max), rows)
-        inverse = expm(-r * _dense_generator(n_max))[:rows]
+        projected = loss_on_branch(ens, eta, tail_tol, r, rows)
+        inverse = _padded_inverse_head(r, n_max, rows)
         assert cut.kraus_orders == projected.kraus_orders == full.kraus_orders
         start = 0
         for b, order in enumerate(full.kraus_orders):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from micromacro import (
     ExperimentConfig,
     amplified_mean_photons,
-    branches_to_projected,
     run,
     solve_r_for_n,
     sweep,
@@ -20,6 +19,8 @@ from micromacro import (
 from micromacro import fock as fk
 from micromacro import pipeline as pl
 from micromacro.pipeline import parse_kv_text
+
+from conftest import branches_to_projected
 
 R_FOR_N100 = 2.6516400776387327  # asinh(sqrt(99.5/2)), mpmath
 
@@ -249,16 +250,31 @@ class TestRun:
         assert with_a.rho_p.trace == pytest.approx(base.rho_p.trace, abs=1e-9)
 
 
-def _full_unsqueeze_block(cfg: ExperimentConfig) -> np.ndarray:
+def _unsqueezed(ens: fk.BranchEnsemble, r: float, rows: int) -> fk.BranchEnsemble:
+    """Every row of the inverse squeeze of ``ens`` as the engine's head of
+    ``rows`` rows takes it.  A head from the photon-number recurrence holds
+    the exact S(r)|j> cut at n_max, so the oracle un-squeezes on a space
+    padded to 4 n_max + 64 photons (at most N_MAX_CAP), clear of the
+    reflection off n_max (1.9e-11 at n_max = 32); a propagated head holds
+    the unitary on n_max, and so does the oracle."""
+    n_max = ens.n_max
+    if rows > fk._RECURRENCE_ROWS:
+        return ens.unsqueezed(fk.get_propagator(r, n_max))
+    pad = min(4 * n_max + 64, fk.N_MAX_CAP)
+    padded = np.zeros((2, pad + 1, len(ens)))
+    padded[:, : n_max + 1] = ens.amps
+    return fk.BranchEnsemble(padded).unsqueezed(fk.get_propagator(r, pad)).truncated(n_max)
+
+
+def _full_unsqueeze_block(cfg: ExperimentConfig, rows: int) -> np.ndarray:
     """The block through the whole un-squeezed ensemble: every row of the
     inverse squeeze, then project_through_loss (the oracle of the row
-    projector)."""
+    projector, whose head has ``rows`` rows)."""
     r = cfg.resolved_r()
     n_max = fk.choose_n_max(r, cfg.tail_tol)
     ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
     ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol))
-    prop = fk.get_propagator(r, n_max)
-    ens = fk.BranchEnsemble(np.stack([prop.apply_columns(a, -1) for a in ens.amps]))
+    ens = _unsqueezed(ens, r, rows)
     block = np.array(fk.project_through_loss(ens, cfg.eta2).matrix)
     if cfg.loss_on_a:
         # arm A never leaves {0, 1}: its photon's amplitudes scale by
@@ -270,16 +286,17 @@ def _full_unsqueeze_block(cfg: ExperimentConfig) -> np.ndarray:
     return block
 
 
-def _materialized(cfg: ExperimentConfig):
+def _materialized(cfg: ExperimentConfig, rows: int):
     """Block, Kraus orders and branch count through the whole expanded and
     un-squeezed ensemble: full-height Kraus images, pruning, every row of
-    the inverse squeeze, the spectator loss and ``project_through_loss``."""
+    the inverse squeeze (``_unsqueezed``), the spectator loss and
+    ``project_through_loss``."""
     r = cfg.resolved_r()
     n_max = fk.choose_n_max(r, cfg.tail_tol)
     ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
     expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol)
     pruned, _ = fk.prune_branches(expanded)
-    ens = pruned.unsqueezed(fk.get_propagator(r, n_max))
+    ens = _unsqueezed(pruned, r, rows)
     if cfg.loss_on_a:
         ens = fk.loss_on_spectator(ens, cfg.eta2)
     block = fk.project_through_loss(ens, cfg.eta2).matrix
@@ -297,7 +314,7 @@ class TestRowProjector:
             cfg = ExperimentConfig(target_n=target_n, eta1=eta12, eta=eta, eta2=eta12,
                                    loss_on_a=loss_on_a, engine="fock")
             diag = run(cfg).diagnostics
-            block, orders, count = _materialized(cfg)
+            block, orders, count = _materialized(cfg, diag.support_bound + 1)
             assert np.abs(diag.fock_matrix - block).max() <= 1e-13 * np.abs(block).max()
             assert diag.kraus_orders == orders
             assert diag.branch_count == count
@@ -311,11 +328,35 @@ class TestRowProjector:
             loss_on_a=loss_on_a, engine="fock",
         )
         res = run(cfg)
-        assert np.abs(res.rho_p.matrix - _full_unsqueeze_block(cfg)).max() < 1e-13
+        oracle = _full_unsqueeze_block(cfg, res.diagnostics.support_bound + 1)
+        assert np.abs(res.rho_p.matrix - oracle).max() < 1e-13
         if eta2 == 0.0:
             assert res.diagnostics.support_bound == res.diagnostics.n_max
         if eta2 == 1.0:
             assert res.diagnostics.support_bound == 1
+
+
+class TestPropagatorTraffic:
+    def test_plain_runs_build_no_propagator(self, monkeypatch):
+        # a plain run's head has k* <= 24 rows at eta2 >= 0.88 and comes from
+        # the photon-number recurrence; a kept state's full-height un-squeeze
+        # and the taller head of eta2 = 0.5 still take the propagator
+        class Built(Exception):
+            pass
+
+        def refuse(self, r, n_max):
+            raise Built
+
+        monkeypatch.setattr(fk.SqueezePropagator, "__init__", refuse)
+        fk.get_propagator.cache_clear()
+        fk._inverse_head.cache_clear()
+        for eta2 in (1.0, 0.9, 0.88):
+            cfg = ExperimentConfig(target_n=100.0, eta1=0.9, eta=0.9, eta2=eta2, engine="fock")
+            assert run(cfg).diagnostics.support_bound < fk._RECURRENCE_ROWS
+        with pytest.raises(Built):
+            run(cfg, keep_state=True)
+        with pytest.raises(Built):
+            run(replace(cfg, eta2=0.5))
 
 
 class TestSweep:
