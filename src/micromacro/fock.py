@@ -22,20 +22,20 @@ of each Kraus image, its product with the same-parity block of those rows
 of S^-1 = S^T and never stores the expanded ensemble.  Up to 24 rows come
 from the recurrence of the columns S(r)|j> in the photon number
 (``_inverse_head``).  SqueezePropagator, exp(rT) of the parity-decoupled
-generator from the SVD of a half-size bidiagonal block per parity, built
-once per (r, n_max), serves taller heads and the full-height un-squeeze.
+generator from the SVD of a half-size bidiagonal block per parity (read off
+the parity chain's symmetric tridiagonal eigenproblem), built once per
+(r, n_max), serves taller heads and the full-height un-squeeze.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cython_lapack
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, xlogy
 
 from .entanglement import ProjectedDensityMatrix
@@ -238,22 +238,6 @@ def mean_photon(amps: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dbdsdc():
-    """LAPACK's divide-and-conquer bidiagonal SVD, from scipy's Cython export
-    table (checked on scipy 1.17): all 14 arguments are pointers (Fortran
-    conventions), which the capsule's C signature is checked against."""
-    capsule = cython_lapack.__pyx_capi__["dbdsdc"]
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    signature = name(capsule)
-    if signature.count(b"*") != 14 or signature.count(b",") != 13:
-        raise RuntimeError(f"scipy's dbdsdc has an unexpected signature: {signature!r}")
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(address(capsule, signature))
-
-
 def _chain_halves(parity: int, n_max: int):
     """(X, Y, sigma, z) of one parity chain: K = X diag(sigma) Y^T, z spans
     the null space of K^T (None on an even-length chain)."""
@@ -262,25 +246,12 @@ def _chain_halves(parity: int, n_max: int):
     half = m // 2
     if m < 2:
         return np.zeros((m, 0)), np.zeros((0, 0)), np.zeros(0), np.ones(m) if m else None
-    # K as a square lower bidiagonal of size ceil(m/2); an odd chain gets one
-    # zero column, and the left vector of its zero singular value is z
-    size = m - half
-    b = np.zeros(2 * size)
-    b[: m - 1] = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / 2.0
-    sigma, sub = b[0::2].copy(), -b[1::2]
-    # Fortran order: the C-order buffers receive U^T and VT^T = V
-    u, v = np.empty((size, size)), np.empty((size, size))
-    work, iwork = np.empty(3 * size * size + 4 * size), np.empty(8 * size, np.intc)
-    dim, info = ctypes.c_int(size), ctypes.c_int(0)
-    unused = np.empty(1)
-    _dbdsdc()(b"L", b"I", ctypes.byref(dim), sigma.ctypes.data, sub.ctypes.data,
-              u.ctypes.data, ctypes.byref(dim), v.ctypes.data, ctypes.byref(dim),
-              unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
-              iwork.ctypes.data, ctypes.byref(info))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dbdsdc failed on the n_max={n_max} chain: info {info.value}")
-    # sigma descends, so an odd chain's zero singular value comes last
-    return u.T[:, :half], v[:half, :half], sigma[:half], u[half] if m % 2 else None
+    b = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) / 2.0
+    b[1::2] *= -1.0  # the signs of K's subdiagonal
+    evals, evecs = eigh_tridiagonal(np.zeros(m), b)
+    top = evecs[:, m - half :]  # the sigma > 0 half, ascending
+    z = evecs[0::2, half].copy() if m % 2 else None
+    return math.sqrt(2.0) * top[0::2], math.sqrt(2.0) * top[1::2], evals[m - half :], z
 
 
 class SqueezePropagator:
@@ -299,11 +270,13 @@ class SqueezePropagator:
                    [   -Y S X^T,      Y C Y^T]],
 
     where z spans the null space of K^T on an odd-length chain.  The SVD is
-    one LAPACK ``dbdsdc`` call per parity on K made square, of size
-    ceil(m/2): an odd chain gets one zero column, whose zero singular value
-    has z as its left vector.  A step is four real (m/2, m/2) @ (m/2, cols)
-    products per parity; the cache holds half of a dense (m, m) matrix per
-    parity.  Complex columns propagate as their real and imaginary parts.
+    one ``eigh_tridiagonal`` call per parity on the chain's symmetric form
+    [[0, K], [K^T, 0]] (Golub & Kahan 1965), whose eigenpairs come as
+    +-sigma: the sigma > 0 half, sqrt(2) times its even and odd eigenvector
+    rows, gives X and Y, and the zero mode of an odd chain gives z.  A step
+    is four real (m/2, m/2) @ (m/2, cols) products per parity; the cache
+    holds half of a dense (m, m) matrix per parity.  Complex columns
+    propagate as their real and imaginary parts.
     The map is orthogonal on the truncated space, hence exactly
     norm-preserving; truncation shows up only as reflection near n_max.
     """
@@ -516,12 +489,10 @@ def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
     return BranchEnsemble(out.reshape(2, ens.n_max + 1, -1))
 
 
-def prune_branches(
-    ens: BranchEnsemble, threshold: float = PRUNE_THRESHOLD
-) -> tuple[BranchEnsemble, float]:
-    """Drop branches below ``threshold`` trace contribution; report the mass."""
+def prune_branches(ens: BranchEnsemble) -> tuple[BranchEnsemble, float]:
+    """Drop branches below ``PRUNE_THRESHOLD`` trace contribution; report the mass."""
     traces = ens.traces
-    keep = traces >= threshold
+    keep = traces >= PRUNE_THRESHOLD
     dropped = float(traces[~keep].sum())
     if not keep.all():
         ens = BranchEnsemble(ens.amps[:, :, keep], full_traces=traces[keep])

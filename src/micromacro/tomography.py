@@ -33,8 +33,13 @@ from scipy.special import dawsn
 from .entanglement import spin_flip_concurrence
 from .errors import IllConditionedError
 from .fock import BranchEnsemble
+from .io import atomic_write_text
 
 RECORD_SCHEMA = "tomography-record v1"
+#: photons per mode of the diagonal populations ``reconstruct`` reports
+N_CUT = 3
+#: Monte-Carlo draws of the concurrence error bar
+N_DRAWS = 2000
 _BLOCK_SIZE = 2048
 _KNOT = 16  # table rows between the brackets that start a CDF search
 
@@ -97,8 +102,7 @@ class TomographyRecord:
         return buf.getvalue()
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        atomic_write_text(path, self.to_csv_text())
 
     @classmethod
     def from_csv_text(cls, text: str) -> "TomographyRecord":
@@ -359,32 +363,30 @@ class ReconstructionResult:
     estimate: np.ndarray  # 4x4 complex, Hermitian by construction
     se_real: np.ndarray  # 4x4
     se_imag: np.ndarray  # 4x4
-    extended_populations: np.ndarray  # (n_cut+1, n_cut+1) real
+    extended_populations: np.ndarray  # (N_CUT+1, N_CUT+1) real
     extended_se: np.ndarray
     n_samples: int
-    n_cut: int
 
 
-def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResult:
+def reconstruct(record: TomographyRecord) -> ReconstructionResult:
     """Unbiased pattern-function estimates of the {0,1}x{0,1} block.
 
     Each block element <a|rho|b> is a sample mean of
     f_{m m'}(x_A) e^{i(m-m')theta_A} f_{n n'}(x_B) e^{i(n-n')theta_B};
     standard errors are the sample standard deviations over sqrt(N).
-    Diagonal populations up to ``n_cut`` photons per mode are returned as
+    Diagonal populations up to ``N_CUT`` photons per mode are returned as
     diagnostics.  Records whose phases cannot separate the needed harmonics
     raise IllConditionedError.
     """
-    needed = n_cut + 1
     phases = (record.theta_a, record.theta_b)
-    if min(len(np.unique(np.round(theta, 9))) for theta in phases) < needed:
+    if min(len(np.unique(np.round(theta, 9))) for theta in phases) <= N_CUT:
         raise IllConditionedError(
-            f"need at least {needed} distinct phases per arm to separate "
-            f"harmonics up to order {n_cut}"
+            f"need at least {N_CUT + 1} distinct phases per arm to separate "
+            f"harmonics up to order {N_CUT}"
         )
     n_samples = len(record)
     # each kernel the block and the populations need, once per arm at the samples
-    pairs = {(1, 0)} | {(m, m) for m in range(n_cut + 1)}
+    pairs = {(1, 0)} | {(m, m) for m in range(N_CUT + 1)}
     arms = []
     for x, theta in ((record.x_a, record.theta_a), (record.x_b, record.theta_b)):
         kernels = _pattern_functions(pairs, x)
@@ -404,20 +406,20 @@ def reconstruct(record: TomographyRecord, n_cut: int = 3) -> ReconstructionResul
     se_re = (z.real.std(axis=1, ddof=1) / root_n).reshape(4, 4)
     se_im = (z.imag.std(axis=1, ddof=1) / root_n).reshape(4, 4)
 
-    pops = np.stack([kern_a[m, m] for m in range(n_cut + 1)])[:, None] * np.stack(
-        [kern_b[n, n] for n in range(n_cut + 1)]
+    pops = np.stack([kern_a[m, m] for m in range(N_CUT + 1)])[:, None] * np.stack(
+        [kern_b[n, n] for n in range(N_CUT + 1)]
     )
     ext = pops.mean(axis=-1)
     ext_se = pops.std(axis=-1, ddof=1) / root_n
 
     return ReconstructionResult(
         estimate=est, se_real=se_re, se_imag=se_im,
-        extended_populations=ext, extended_se=ext_se, n_samples=n_samples, n_cut=n_cut,
+        extended_populations=ext, extended_se=ext_se, n_samples=n_samples,
     )
 
 
 def concurrence_with_uncertainty(
-    recon: ReconstructionResult, n_draws: int = 2000, seed: int = 1234
+    recon: ReconstructionResult, seed: int = 1234
 ) -> tuple[float, float]:
     """Concurrence of the reconstructed block with a Monte-Carlo error bar.
 
@@ -428,7 +430,7 @@ def concurrence_with_uncertainty(
     central = float(spin_flip_concurrence(recon.estimate)[2])
     # per draw 16 real then 16 imaginary parts, the order of per-draw
     # rng.normal(scale=se) calls
-    noise = np.random.default_rng(seed).standard_normal((n_draws, 2, 4, 4))
+    noise = np.random.default_rng(seed).standard_normal((N_DRAWS, 2, 4, 4))
     noise = noise[:, 0] * recon.se_real + 1j * (noise[:, 1] * recon.se_imag)
     values = spin_flip_concurrence(recon.estimate + noise)[2]
     return central, float(values.std(ddof=1))

@@ -168,11 +168,16 @@ class TestSqueezePropagator:
         got = SqueezePropagator(r, n_max).apply_columns(np.eye(n_max + 1), sign)
         assert np.abs(got - oracle).max() < 1e-12
 
-    def test_round_trip_on_unit_columns(self):
-        # S^-1 S = I on the truncated space, across the n = 100 truncation
-        n_max = 2490
-        cols = np.eye(n_max + 1)[:, np.linspace(0, n_max, 300).astype(int)]
-        prop = SqueezePropagator(2.65, n_max)
+    # S^-1 S = I on the truncated space, across the truncations of n = 100 and
+    # of the paper's largest n = 300, where the eigenvectors' orthogonality
+    # errors add up the most
+    @pytest.mark.parametrize("target_n", [100.0, 300.0])
+    def test_round_trip_on_unit_columns(self, target_n):
+        r = pl.solve_r_for_n(target_n)
+        n_max = choose_n_max(r)
+        cols = np.zeros((n_max + 1, 300))
+        cols[np.linspace(0, n_max, 300).astype(int), np.arange(300)] = 1.0
+        prop = SqueezePropagator(r, n_max)
         back = prop.apply_columns(prop.apply_columns(cols, +1), -1)
         assert np.abs(back - cols).max() < 1e-13
 

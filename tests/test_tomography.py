@@ -329,6 +329,21 @@ class TestRecordCsv:
         back = TomographyRecord.from_csv(path)
         assert len(back) == 100
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, bell_branch, monkeypatch):
+        rec = sample(bell_branch, 20, seed=8)
+        path = tmp_path / "rec.csv"
+        rec.to_csv(path)
+
+        def fail(self):
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(TomographyRecord, "to_csv_text", fail)
+        with pytest.raises(RuntimeError):
+            rec.to_csv(path)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == rec.to_csv_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
+
 
 def _pattern_oracle(psi: np.ndarray, m: int, n: int) -> complex:
     """Exact integration of the estimator for a pure single-mode state."""
