@@ -87,12 +87,6 @@ class ProjectedDensityMatrix:
         """Largest magnitude outside the X positions (zero-structure audit)."""
         return float(np.abs(self.matrix[~_X_MASK]).max())
 
-    def normalized(self) -> "ProjectedDensityMatrix":
-        t = self.trace
-        if t <= 0.0:
-            raise ValueError("cannot normalize a matrix with non-positive trace")
-        return ProjectedDensityMatrix(self.matrix / t)
-
 
 @dataclass(frozen=True)
 class ConcurrenceResult:

@@ -24,7 +24,9 @@ from the recurrence of the columns S(r)|j> in the photon number
 (``_inverse_head``).  SqueezePropagator, exp(rT) of the parity-decoupled
 generator from the SVD of a half-size bidiagonal block per parity (read off
 the parity chain's symmetric tridiagonal eigenproblem), built once per
-(r, n_max), serves taller heads and the full-height un-squeeze.
+(r, n_max), serves taller heads and the full-height un-squeeze.  scipy
+loads on first use, never at import: ``scipy.special`` with the first
+squeezed state or loss, ``scipy.linalg`` with the first propagator build.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, xlogy
 
 from .entanglement import ProjectedDensityMatrix
 from .errors import TruncationError
@@ -125,6 +125,7 @@ class BranchEnsemble:
 
 
 def _log_probs_squeezed(r: float, k: np.ndarray, parity: int) -> np.ndarray:
+    from scipy.special import gammaln
     # p_{2k+parity} = (2k+parity)! / (4^k (k!)^2) * tanh^{2k} r / cosh^{1+2 parity} r
     lt = math.log(math.tanh(r))
     return (
@@ -241,6 +242,7 @@ def mean_photon(amps: np.ndarray) -> float:
 def _chain_halves(parity: int, n_max: int):
     """(X, Y, sigma, z) of one parity chain: K = X diag(sigma) Y^T, z spans
     the null space of K^T (None on an even-length chain)."""
+    from scipy.linalg import eigh_tridiagonal
     n = np.arange(parity, n_max + 1, 2).astype(float)
     m = len(n)
     half = m // 2
@@ -393,6 +395,7 @@ def loss_on_branch(
     rows of S(r)^-1 (``_inverse_head``).  ``traces`` holds the full images'
     either way.
     """
+    from scipy.special import gammaln, xlogy
     _check_eta(eta)
     amps = ens.amps
     n_rows, n_branches = amps.shape[1:]

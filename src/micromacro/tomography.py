@@ -18,7 +18,8 @@ uniform on [0, pi).  The kernels are the closed forms of Leonhardt, Paul &
 D'Ariano (PRA 52, 4899, 1995) and Richter (Phys. Lett. A 211, 327, 1996),
 built on the Dawson function.  Elements of the {0,1}x{0,1} block are
 estimated without cutoff bias; diagonal populations up to a cutoff per mode
-are reported as diagnostics.
+are reported as diagnostics.  scipy (``dawsn``) loads on the first
+``reconstruct``, inside ``_pattern_functions``, never at import.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import dawsn
 
 from .entanglement import spin_flip_concurrence
 from .errors import IllConditionedError
@@ -210,8 +210,9 @@ def sample(
     conditional given x_A, resolved over branches.  Per-block child seeds
     derived from ``seed`` make the record deterministic.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    for name, value, low in (("n_samples", n_samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if phase_policy not in ("uniform_random", "fixed_grid"):
         raise ValueError("phase_policy must be 'uniform_random' or 'fixed_grid'")
     if len(state) == 0:
@@ -339,6 +340,7 @@ def pattern_function(m: int, n: int, x) -> np.ndarray:
 def _pattern_functions(pairs, x) -> dict:
     """``pattern_function`` of each (m, n) in ``pairs`` at the points x, on
     one Dawson evaluation and one pair of ladders."""
+    from scipy.special import dawsn
     x = np.asarray(x, dtype=float)
     top = max(max(pair) for pair in pairs)
     daw = dawsn(x)

@@ -180,7 +180,3 @@ class TestProjectedDensityMatrix:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 1e-3
         assert ProjectedDensityMatrix(m).off_x_max() == pytest.approx(1e-3)
-
-    def test_normalized(self):
-        rho = ProjectedDensityMatrix(bell_matrix().matrix * 0.25)
-        assert rho.normalized().trace == pytest.approx(1.0)

@@ -1,8 +1,13 @@
 """Experiment-pipeline tests: composition, engine agreement, sweeps, config."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +362,37 @@ class TestPropagatorTraffic:
             run(cfg, keep_state=True)
         with pytest.raises(Built):
             run(replace(cfg, eta2=0.5))
+
+
+_SCIPY_TRAFFIC = """
+import contextlib, io, json, sys
+import micromacro as mm
+from micromacro import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+mm.sweep(mm.ExperimentConfig(target_n=10.0, eta1=0.9, eta=0.9, eta2=0.9), "n", [10.0, 100.0])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--n", "100"]) == 0
+phase_space = scipy_modules()
+mm.run(mm.ExperimentConfig(target_n=10.0, eta=0.9, engine="fock"))
+print(json.dumps([phase_space, scipy_modules()]))
+"""
+
+
+def test_phase_space_path_loads_no_scipy():
+    # the import, a phase-space sweep and ``micromacro simulate`` need only
+    # numpy; the Fock oracle's first squeezed state loads scipy.special
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_TRAFFIC], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    phase_space, after_fock = json.loads(proc.stdout)
+    assert phase_space == []
+    assert "scipy.special" in after_fock
 
 
 class TestSweep:

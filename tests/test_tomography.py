@@ -299,6 +299,20 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample(bell_branch, 10, phase_policy="spiral", seed=1)
 
+    @pytest.mark.parametrize(
+        "n_samples, seed, name",
+        [(1e4, 1, "n_samples"), (True, 1, "n_samples"), (10, 1.5, "seed"),
+         (10, True, "seed"), (10, -1, "seed")],
+    )
+    def test_rejects_non_integer_counts_and_seeds(self, bell_branch, n_samples, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sample(bell_branch, n_samples, seed=seed)
+
+    def test_numpy_integer_arguments_sample_as_ints(self, bell_branch):
+        a = sample(bell_branch, np.int64(50), seed=np.uint32(4))
+        b = sample(bell_branch, 50, seed=4)
+        assert np.array_equal(a.x_a, b.x_a) and np.array_equal(a.x_b, b.x_b)
+
 
 class TestRecordCsv:
     def test_round_trip(self, bell_branch):
