@@ -24,8 +24,9 @@ from the recurrence of the columns S(r)|j> in the photon number
 (``_inverse_head``).  SqueezePropagator, exp(rT) of the parity-decoupled
 generator from the SVD of a half-size bidiagonal block per parity (read off
 the parity chain's symmetric tridiagonal eigenproblem), built once per
-(r, n_max), serves taller heads and the full-height un-squeeze.  scipy
-loads on first use, never at import: ``scipy.special`` with the first
+(r, n_max), serves taller heads and, at full height (kept states, eta2 = 0),
+un-squeezes the assembled images: the loss is the one stage applying S^-1.
+scipy loads on first use, never at import: ``scipy.special`` with the first
 squeezed state or loss, ``scipy.linalg`` with the first propagator build.
 """
 
@@ -112,11 +113,6 @@ class BranchEnsemble:
         suffix = np.cumsum(mass.real[::-1])[::-1]
         idx = np.flatnonzero(suffix > mass_tol)
         return int(idx[-1]) if len(idx) else 1
-
-    def unsqueezed(self, prop: "SqueezePropagator") -> "BranchEnsemble":
-        """The image under the inverse squeeze of ``prop``, every row: the
-        columns of each arm-A half propagated."""
-        return BranchEnsemble(np.stack([prop.apply_columns(a, -1) for a in self.amps]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +254,9 @@ def _chain_halves(parity: int, n_max: int):
 
 class SqueezePropagator:
     """Applies exp(sign * r * (a^2 - a+^2)/2) to stacks of Fock columns: the
-    full-height un-squeeze (kept states, eta2 = 0) and heads of S^-1 taller
-    than ``_RECURRENCE_ROWS`` rows (eta2 < 0.88).
+    heads of S^-1 taller than ``_RECURRENCE_ROWS`` rows (eta2 < 0.88) and,
+    in ``loss_on_branch`` at full height (kept states, eta2 = 0), the inverse
+    squeeze of every Kraus image.
 
     On a parity chain n = p, p+2, ... the generator is a real antisymmetric
     tridiagonal T with T[j, j+1] = b_j = sqrt((n_j+1)(n_j+2))/2.  It links
@@ -391,18 +388,21 @@ def loss_on_branch(
     orders of one parity are sliding windows of the part, and each
     (q, k mod 2) group is one window-times-factor product.  Each image keeps
     photon numbers 0..rows-1 (all by default), with ``r`` > 0 those of its
-    inverse squeeze, one product per group with the parity-p block of those
-    rows of S(r)^-1 (``_inverse_head``).  ``traces`` holds the full images'
-    either way.
+    inverse squeeze S(r)^-1, for every ``rows`` up to n_max + 1.  Below full
+    height that is one product per group with the parity-p block of those
+    rows of S(r)^-1 (``_inverse_head``).  At full height no dense head is
+    built: the propagator's ``apply_columns(., -1)`` runs on each arm half
+    of the assembled images.  ``traces`` holds the full images' either way.
     """
     from scipy.special import gammaln, xlogy
     _check_eta(eta)
     amps = ens.amps
     n_rows, n_branches = amps.shape[1:]
     height = n_rows if rows is None else min(rows, n_rows)
-    if eta == 1.0 and not r and height == n_rows:
+    full = height == n_rows
+    if eta == 1.0 and not r and full:
         return ens
-    heads = _inverse_head(r, n_rows - 1, height) if r else None
+    heads = _inverse_head(r, n_rows - 1, height) if r and not full else None
     mass = _abs2(amps).sum(axis=0)  # (N, K)
     traces = mass.sum(axis=0)
     tol = np.maximum(tail_tol * (traces / (traces.sum() or 1.0)), 1e-300)
@@ -474,7 +474,11 @@ def loss_on_branch(
         full_traces[start[branch] + k] = t
     for arm, branch, k, p, kept in images:
         out[:, :, p::2][arm, start[branch] + k, : kept.shape[1]] = kept
-    return BranchEnsemble(out.transpose(0, 2, 1), tuple(int(o) for o in orders), full_traces)
+    out = out.transpose(0, 2, 1)
+    if r and full:
+        prop = get_propagator(r, n_rows - 1)
+        out = np.stack([prop.apply_columns(half, -1) for half in out])
+    return BranchEnsemble(out, tuple(int(o) for o in orders), full_traces)
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:

@@ -5,18 +5,19 @@ squeezer, transmission eta, the inverse squeezer, transmission eta2 and the
 projection onto the {0,1}x{0,1} photon block, in either the truncated Fock
 engine, the closed-form phase-space engine, or both (cross-validated).
 Losses act on arm B; optionally (``loss_on_a``) the detection loss eta2 is
-mirrored onto the spectator arm A.  ``run`` decides once whether the
-squeezer pair acts at all (r > 0 and eta < 1; otherwise the squeezer and its
-inverse cancel) and hands that to both engines.  The Fock engine holds the
-state as one (2, n_max+1, K) amplitude array (``BranchEnsemble``), starts it
-from the closed-form squeezed input and takes the block from
-``project_through_loss``, after ``loss_on_spectator`` when ``loss_on_a`` is
-set.  That block reads only the leading photon numbers after the eta2 loss
-(``projection_rows``), so the eta loss keeps only those rows of each Kraus
-image's inverse squeeze, and a plain run never holds the expanded state.
-With ``keep_state`` it un-squeezes the whole state, crops it at its support
-and also expands it through the eta2 loss (and the spectator loss) for the
-tomography sampler.
+mirrored onto the spectator arm A.  The squeezer pair acts iff r > 0 and
+eta < 1 (otherwise it cancels); ``ExperimentConfig.pair_r`` is that rule,
+for validation, ``run`` and ``sweep`` alike.
+The Fock engine holds the state as one (2, n_max+1, K) amplitude array
+(``BranchEnsemble``), starts it from the closed-form squeezed input and
+takes the block from ``project_through_loss``, after ``loss_on_spectator``
+when ``loss_on_a`` is set.  That block reads only the leading photon
+numbers after the eta2 loss (``projection_rows``), so the eta loss keeps
+only those rows of each Kraus image's inverse squeeze, and a plain run
+never holds the expanded state.  With ``keep_state`` the eta loss keeps
+every row of the un-squeezed images; the engine crops that state at its
+support and also expands it through the eta2 loss (and the spectator loss)
+for the tomography sampler.
 
 An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
 ``sweep`` take any config as valid.  ``from_mapping``, keyed by
@@ -125,8 +126,8 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         # the Fock engine's photon cap binds only where the squeezer pair acts
-        if self.engine in ("fock", "both") and self.eta < 1.0 and self.resolved_r() > 0.0:
-            self._fock_n_max(self.resolved_r(), self.tail_tol)
+        if self.engine in ("fock", "both") and self.pair_r() > 0.0:
+            self._fock_n_max(self.pair_r(), self.tail_tol)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -163,6 +164,11 @@ class ExperimentConfig:
 
     def resolved_r(self) -> float:
         return self.r if self.r is not None else solve_r_for_n(self.target_n)
+
+    def pair_r(self) -> float:
+        """The resolved r where the mid-stage loss acts (eta < 1), else 0:
+        without it the squeezer pair cancels exactly."""
+        return self.resolved_r() if self.eta < 1.0 else 0.0
 
     def resolved_engine(self) -> str:
         return "phase_space" if self.engine == "auto" else self.engine
@@ -238,33 +244,29 @@ def _initial_ensemble(
 
 
 def _run_fock(
-    cfg: ExperimentConfig, r: float, squeeze: bool, keep_state: bool
+    cfg: ExperimentConfig, r: float, keep_state: bool
 ) -> tuple[ProjectedDensityMatrix, EngineDiagnostics, fk.BranchEnsemble | None]:
+    """The Fock engine at the squeezer pair's r (``pair_r``)."""
     diag = EngineDiagnostics()
     # a kept state feeds amplitude-linear quantities (homodyne densities), so
     # its truncation bound must hold amplitudes to ~1e-8, not just mass
     trunc_tol = min(cfg.tail_tol, 1e-17) if keep_state else cfg.tail_tol
     # without the squeeze, arm B never leaves {0, 1}
-    n_max = cfg._fock_n_max(r, trunc_tol) if squeeze else 2
+    n_max = cfg._fock_n_max(r, trunc_tol) if r else 2
     diag.n_max = n_max
-    ens = _initial_ensemble(cfg.eta1, r if squeeze else 0.0, n_max, trunc_tol)
+    ens = _initial_ensemble(cfg.eta1, r, n_max, trunc_tol)
     # amplitude ~1e-9: quantities linear in the amplitudes (e.g. homodyne
     # densities from the kept state) stay good to ~1e-8
     mass_tol = min(cfg.tail_tol * 1e-2, 1e-18)
-    # the sampler reads the whole state, the block only its leading rows: the
-    # eta loss keeps those rows of the un-squeezed images (no propagator at
-    # eta2 >= 0.88), but every row is un-squeezed after pruning, which drops
-    # about half the images at eta2 = 0, and by the propagator, not a dense head
+    # the sampler reads the whole state, the block only its leading rows:
+    # the eta loss keeps those rows of the un-squeezed images
     rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
-    every_row = squeeze and rows > n_max
     if cfg.eta < 1.0:
         total = float(ens.traces.sum())
-        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, None if every_row else r, rows)
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, r, rows)
         diag.kraus_orders = expanded.kraus_orders
         diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
         ens, diag.dropped_mass = fk.prune_branches(expanded)
-    if every_row:
-        ens = ens.unsqueezed(fk.get_propagator(r, n_max))
     if keep_state:
         rows = min(max(ens.support(mass_tol), 3), n_max) + 1
     ens = ens.truncated(rows - 1)
@@ -323,20 +325,18 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
     final Wigner function.
     """
     t0 = time.perf_counter()
-    r = config.resolved_r()
-    # without mid-stage loss the squeezer and its inverse cancel exactly
-    squeeze = r > 0.0 and config.eta < 1.0
+    r, pair_r = config.resolved_r(), config.pair_r()
     engine = config.resolved_engine()
     diag = EngineDiagnostics()
     final_branches = None
     final_wigner = None
 
     if engine in ("fock", "both"):
-        rho_fock, diag, final_branches = _run_fock(config, r, squeeze, keep_state)
+        rho_fock, diag, final_branches = _run_fock(config, pair_r, keep_state)
         diag.fock_matrix = rho_fock.matrix
     if engine in ("phase_space", "both"):
         block, W = _run_phase_space(
-            r if squeeze else 0.0, config.eta1, config.eta, config.eta2, config.loss_on_a
+            pair_r, config.eta1, config.eta, config.eta2, config.loss_on_a
         )
         rho_ps = ProjectedDensityMatrix(block)
         if keep_state:
@@ -403,15 +403,16 @@ def sweep(base: ExperimentConfig, axis: str, values) -> list[SweepEntry]:
         return entries
 
     t0 = time.perf_counter()
-    r, eta1, eta, eta2 = np.array([(c.resolved_r(), c.eta1, c.eta, c.eta2) for _, c in rows]).T
-    # as in run: without mid-stage loss the squeezer pair cancels
-    blocks, _ = _run_phase_space(np.where(eta < 1.0, r, 0.0), eta1, eta, eta2, base.loss_on_a)
+    pair_r, eta1, eta, eta2 = np.array([(c.pair_r(), c.eta1, c.eta, c.eta2) for _, c in rows]).T
+    blocks, _ = _run_phase_space(pair_r, eta1, eta, eta2, base.loss_on_a)
     # with no stage to run, the block is the input state's, without a row axis
-    blocks = np.broadcast_to(blocks, r.shape + (4, 4))
-    for (entry, cfg), r_row, block in zip(rows, r.tolist(), blocks):
+    blocks = np.broadcast_to(blocks, pair_r.shape + (4, 4))
+    for (entry, cfg), pair, block in zip(rows, pair_r.tolist(), blocks):
         rho_p = ProjectedDensityMatrix(block)
         diag = EngineDiagnostics(phase_space_matrix=rho_p.matrix)
-        entry.result = _caught(entry, _result, cfg, r_row, "phase_space", rho_p, diag)
+        # pair_r is the resolved r wherever it is nonzero: one resolved_r per row
+        r = pair or cfg.resolved_r()
+        entry.result = _caught(entry, _result, cfg, r, "phase_space", rho_p, diag)
     share = (time.perf_counter() - t0) / len(rows)
     for result in filter(None, (entry.result for entry in entries)):
         result.wall_time = share

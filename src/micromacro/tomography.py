@@ -17,9 +17,9 @@ pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
 uniform on [0, pi).  The kernels are the closed forms of Leonhardt, Paul &
 D'Ariano (PRA 52, 4899, 1995) and Richter (Phys. Lett. A 211, 327, 1996),
 built on the Dawson function.  Elements of the {0,1}x{0,1} block are
-estimated without cutoff bias; diagonal populations up to a cutoff per mode
-are reported as diagnostics.  scipy (``dawsn``) loads on the first
-``reconstruct``, inside ``_pattern_functions``, never at import.
+estimated without cutoff bias, from the kernels f_00, f_11 and f_10 alone.
+scipy (``dawsn``) loads on the first ``reconstruct``, inside
+``_pattern_functions``, never at import.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .fock import BranchEnsemble
 from .io import atomic_write_text
 
 RECORD_SCHEMA = "tomography-record v1"
-#: photons per mode of the diagonal populations ``reconstruct`` reports
+#: harmonic order per arm that ``reconstruct``'s distinct-phase guard asks
+#: a record's phases to separate
 N_CUT = 3
 #: Monte-Carlo draws of the concurrence error bar
 N_DRAWS = 2000
@@ -365,8 +366,6 @@ class ReconstructionResult:
     estimate: np.ndarray  # 4x4 complex, Hermitian by construction
     se_real: np.ndarray  # 4x4
     se_imag: np.ndarray  # 4x4
-    extended_populations: np.ndarray  # (N_CUT+1, N_CUT+1) real
-    extended_se: np.ndarray
     n_samples: int
 
 
@@ -376,9 +375,8 @@ def reconstruct(record: TomographyRecord) -> ReconstructionResult:
     Each block element <a|rho|b> is a sample mean of
     f_{m m'}(x_A) e^{i(m-m')theta_A} f_{n n'}(x_B) e^{i(n-n')theta_B};
     standard errors are the sample standard deviations over sqrt(N).
-    Diagonal populations up to ``N_CUT`` photons per mode are returned as
-    diagnostics.  Records whose phases cannot separate the needed harmonics
-    raise IllConditionedError.
+    Records whose phases cannot separate the needed harmonics raise
+    IllConditionedError.
     """
     phases = (record.theta_a, record.theta_b)
     if min(len(np.unique(np.round(theta, 9))) for theta in phases) <= N_CUT:
@@ -387,8 +385,8 @@ def reconstruct(record: TomographyRecord) -> ReconstructionResult:
             f"harmonics up to order {N_CUT}"
         )
     n_samples = len(record)
-    # each kernel the block and the populations need, once per arm at the samples
-    pairs = {(1, 0)} | {(m, m) for m in range(N_CUT + 1)}
+    # each kernel the block needs, once per arm at the samples
+    pairs = {(0, 0), (1, 1), (1, 0)}
     arms = []
     for x, theta in ((record.x_a, record.theta_a), (record.x_b, record.theta_b)):
         kernels = _pattern_functions(pairs, x)
@@ -408,15 +406,8 @@ def reconstruct(record: TomographyRecord) -> ReconstructionResult:
     se_re = (z.real.std(axis=1, ddof=1) / root_n).reshape(4, 4)
     se_im = (z.imag.std(axis=1, ddof=1) / root_n).reshape(4, 4)
 
-    pops = np.stack([kern_a[m, m] for m in range(N_CUT + 1)])[:, None] * np.stack(
-        [kern_b[n, n] for n in range(N_CUT + 1)]
-    )
-    ext = pops.mean(axis=-1)
-    ext_se = pops.std(axis=-1, ddof=1) / root_n
-
     return ReconstructionResult(
-        estimate=est, se_real=se_re, se_imag=se_im,
-        extended_populations=ext, extended_se=ext_se, n_samples=n_samples,
+        estimate=est, se_real=se_re, se_imag=se_im, n_samples=n_samples,
     )
 
 

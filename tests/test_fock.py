@@ -499,6 +499,28 @@ class TestLossChannel:
             assert out.kraus_orders == ()
             assert len(out.traces) == 0
 
+    @pytest.mark.parametrize("source", ["random", "squeezed"])
+    def test_full_height_inverse_squeeze(self, source, monkeypatch):
+        # rows = n_max + 1 is the propagator's inverse squeeze of every
+        # assembled image, never a dense (n_max+1)-row head
+        eta, tail_tol, r = 0.8, 1e-10, 0.9
+        if source == "random":
+            ens = random_branches(np.random.default_rng(29), count=5, dim=24)
+        else:
+            ens = pl._initial_ensemble(0.9, r, choose_n_max(r, tail_tol), tail_tol)
+        plain = loss_on_branch(ens, eta, tail_tol)
+
+        def refuse(*args):
+            raise AssertionError("dense head at full height")
+
+        monkeypatch.setattr(fk, "_inverse_head", refuse)
+        full = loss_on_branch(ens, eta, tail_tol, r, ens.n_max + 1)
+        prop = get_propagator(r, ens.n_max)
+        oracle = np.stack([prop.apply_columns(half, -1) for half in plain.amps])
+        assert np.abs(full.amps - oracle).max() <= 1e-13
+        assert np.array_equal(full.full_traces, plain.full_traces)
+        assert full.kraus_orders == plain.kraus_orders
+
     def test_spectator_loss(self, bell_branch):
         out = loss_on_spectator(bell_branch, 0.8)
         assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())

@@ -108,6 +108,11 @@ class TestConfig:
         ExperimentConfig(target_n=1e4, eta=1.0, engine="fock")
         ExperimentConfig(target_n=1e4, eta=0.9, engine="phase_space")
         ExperimentConfig(target_n=1e4, eta=0.9)
+        # pair_r is that rule: the resolved r where eta < 1, else 0
+        assert ExperimentConfig(r=5.0, eta=1.0, engine="fock").pair_r() == 0.0
+        assert ExperimentConfig(r=0.0, eta=0.5, engine="fock").pair_r() == 0.0
+        cfg = ExperimentConfig(target_n=10.0, eta=0.9, engine="fock")
+        assert cfg.pair_r() == cfg.resolved_r() > 0.0
 
     def test_kept_state_photon_cap_names_the_strength(self):
         # a kept Fock state is truncated at 1e-17, tighter than validation's
@@ -260,15 +265,16 @@ def _unsqueezed(ens: fk.BranchEnsemble, r: float, rows: int) -> fk.BranchEnsembl
     ``rows`` rows takes it.  A head from the photon-number recurrence holds
     the exact S(r)|j> cut at n_max, so the oracle un-squeezes on a space
     padded to 4 n_max + 64 photons (at most N_MAX_CAP), clear of the
-    reflection off n_max (1.9e-11 at n_max = 32); a propagated head holds
-    the unitary on n_max, and so does the oracle."""
+    reflection off n_max (1.9e-11 at n_max = 32); a propagated head, like
+    the full-height un-squeeze, holds the unitary on n_max, and so does the
+    oracle."""
     n_max = ens.n_max
-    if rows > fk._RECURRENCE_ROWS:
-        return ens.unsqueezed(fk.get_propagator(r, n_max))
-    pad = min(4 * n_max + 64, fk.N_MAX_CAP)
-    padded = np.zeros((2, pad + 1, len(ens)))
+    pad = n_max if rows > fk._RECURRENCE_ROWS else min(4 * n_max + 64, fk.N_MAX_CAP)
+    padded = np.zeros((2, pad + 1, len(ens)), ens.amps.dtype)
     padded[:, : n_max + 1] = ens.amps
-    return fk.BranchEnsemble(padded).unsqueezed(fk.get_propagator(r, pad)).truncated(n_max)
+    prop = fk.get_propagator(r, pad)
+    halves = [prop.apply_columns(half, -1) for half in padded]
+    return fk.BranchEnsemble(np.stack(halves)).truncated(n_max)
 
 
 def _full_unsqueeze_block(cfg: ExperimentConfig, rows: int) -> np.ndarray:

@@ -463,15 +463,6 @@ class TestReconstruct:
             1.0, abs=3 * recon.se_real[0, 0]
         )
 
-    def test_extended_populations(self, bell_branch):
-        rec = sample(bell_branch, 50000, seed=31)
-        recon = reconstruct(rec)
-        # one photon split between (1,0) and (0,1); nothing above
-        assert recon.extended_populations[1, 0] == pytest.approx(
-            0.5, abs=5 * recon.extended_se[1, 0]
-        )
-        assert abs(recon.extended_populations[2, 2]) < 5 * recon.extended_se[2, 2]
-
     def test_ill_conditioned_flagged(self):
         n = 1000
         rec = TomographyRecord(
