@@ -235,8 +235,7 @@ def cmd_tomo(args) -> int:
         config_snapshot=snapshot,
     )
     outdir = _outdir(args)
-    record_path = os.path.join(outdir, "tomo_record.csv")
-    mio.atomic_write_text(record_path, record.to_csv_text())
+    record.to_csv(os.path.join(outdir, "tomo_record.csv"))
 
     recon = tomo.reconstruct(record)
     c_est, c_err = tomo.concurrence_with_uncertainty(recon)

@@ -8,9 +8,9 @@ by arm A's photon number, arm B's and the branch.  Arm B enters the squeezer
 in |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
 Every later stage acts on the whole array at once: the binomial photon-loss
-Kraus channel, the spectator loss on arm A (a kept and a decayed branch
-each), pruning (a mask), the inverse squeeze unitary exp(-r (a^2 - a+^2)/2)
-and the projection onto the {0,1}x{0,1} block (one contraction).
+Kraus channel (its images of nonzero trace), the spectator loss on arm A (a
+kept and a decayed branch each), the inverse squeeze unitary exp(-r (a^2 -
+a+^2)/2) and the projection onto the {0,1}x{0,1} block (one contraction).
 
 The squeezed input holds one photon parity per arm half (vacuum family
 even, one family odd); the squeeze keeps parity and a Kraus order shifts
@@ -73,15 +73,14 @@ class BranchEnsemble:
     sit in the (sub-normalized) columns.  The pipeline keeps ``amps`` real;
     complex arrays are accepted everywhere.  ``kraus_orders`` records, per
     input branch, the highest Kraus order of the loss expansion that produced
-    the ensemble (empty otherwise).  ``full_traces``, when given, are the
-    branches' trace contributions where ``amps`` holds only leading rows of
-    them (``loss_on_branch`` with ``rows``); ``traces``, and so pruning,
-    reads them.
+    the ensemble (empty otherwise), and ``neglected_mass`` the trace those
+    orders leave out.  ``traces`` are always the squared norms of the
+    columns of ``amps``.
     """
 
     amps: np.ndarray
     kraus_orders: tuple[int, ...] = ()
-    full_traces: np.ndarray | None = None
+    neglected_mass: float = 0.0
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps)
@@ -98,8 +97,6 @@ class BranchEnsemble:
     @cached_property
     def traces(self) -> np.ndarray:
         """Trace contribution |b_k|^2 of every branch."""
-        if self.full_traces is not None:
-            return self.full_traces
         return np.einsum("ank,ank->ak", self.amps.conj(), self.amps).real.sum(axis=0)
 
     def truncated(self, n_max: int) -> "BranchEnsemble":
@@ -381,7 +378,9 @@ def loss_on_branch(
     branch retires at the first order whose neglected trace falls below its
     share of ``tail_tol`` (its trace over the ensemble's), or at its top
     occupied photon number, where the channel is captured exactly; a branch
-    of zero trace retires at order 0 with a zero image.
+    of zero trace retires at order 0.  Images of zero trace (a zero-trace
+    branch's, odd orders of a one-parity branch at eta = 0, underflowed
+    tails) are not emitted; ``neglected_mass`` is the trace left out.
 
     E_k maps a parity-q part (the rows 2i + q of an arm half) read from
     i + (k+1-q)//2 onto the rows 2i + p, p = q + k (mod 2): in a chunk, the
@@ -392,7 +391,7 @@ def loss_on_branch(
     height that is one product per group with the parity-p block of those
     rows of S(r)^-1 (``_inverse_head``).  At full height no dense head is
     built: the propagator's ``apply_columns(., -1)`` runs on each arm half
-    of the assembled images.  ``traces`` holds the full images' either way.
+    of the assembled images.
     """
     from scipy.special import gammaln, xlogy
     _check_eta(eta)
@@ -422,7 +421,7 @@ def loss_on_branch(
     left = traces.copy()
     orders = np.zeros(n_branches, dtype=int)
     live = np.arange(n_branches)
-    kept_traces, images = [], []  # (branch, order, trace), (arm, branch, order, parity, rows)
+    emits, images = [], []  # (branch, order), (arm, branch, order, parity, rows) of trace > 0
     k0, grow = 0, 16
     while len(live):
         width = 1 if eta == 0.0 else n_rows - k0
@@ -456,29 +455,32 @@ def loss_on_branch(
         last = np.where(retired, done.argmax(axis=1), count - 1)
         orders[live[retired]] = k0 + last[retired]
         left[live] = left_after[np.arange(len(live)), last]
-        i, j = np.nonzero(np.arange(count) <= last[:, None])
-        kept_traces.append((live[i], k0 + j, t[i, j]))
-        for mine, j, p, kept in groups:
-            i, jj = np.nonzero(j <= last[local[mine], None])
-            images.append((arm[mine][i], branch[mine][i], k0 + j[jj], p, kept[i, jj]))
+        emit = (np.arange(count) <= last[:, None]) & (t > 0.0)
+        i, j = np.nonzero(emit)
+        emits.append((live[i], k0 + j))
+        for mine, j, p, img in groups:
+            i, jj = np.nonzero(emit[local[mine][:, None], j])
+            images.append((arm[mine][i], branch[mine][i], k0 + j[jj], p, img[i, jj]))
         live = live[~retired]
         on = np.isin(branch, live)
         parts, arm, q, branch = parts[on], arm[on], q[on], branch[on]
         k0, grow = k0 + count, 2 * grow
 
-    # order k of branch b is column start[b] + k of the branch-major buffer
+    # order k of branch b is slot start[b] + k of the branch-major orders;
+    # the images of nonzero trace fill the columns in slot order
     start = np.cumsum(orders + 1) - (orders + 1)
-    out = np.zeros((2, int((orders + 1).sum()), height), np.result_type(amps, float))
-    full_traces = np.empty(out.shape[1])
-    for branch, k, t in kept_traces:
-        full_traces[start[branch] + k] = t
-    for arm, branch, k, p, kept in images:
-        out[:, :, p::2][arm, start[branch] + k, : kept.shape[1]] = kept
+    emitted = np.zeros(int((orders + 1).sum()), bool)
+    for branch, k in emits:
+        emitted[start[branch] + k] = True
+    column = np.cumsum(emitted) - 1
+    out = np.zeros((2, int(emitted.sum()), height), np.result_type(amps, float))
+    for arm, branch, k, p, img in images:
+        out[:, :, p::2][arm, column[start[branch] + k], : img.shape[1]] = img
     out = out.transpose(0, 2, 1)
     if r and full:
         prop = get_propagator(r, n_rows - 1)
         out = np.stack([prop.apply_columns(half, -1) for half in out])
-    return BranchEnsemble(out, tuple(int(o) for o in orders), full_traces)
+    return BranchEnsemble(out, tuple(int(o) for o in orders), max(float(left.sum()), 0.0))
 
 
 def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
@@ -497,12 +499,12 @@ def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
 
 
 def prune_branches(ens: BranchEnsemble) -> tuple[BranchEnsemble, float]:
-    """Drop branches below ``PRUNE_THRESHOLD`` trace contribution; report the mass."""
+    """Drop a kept state's branches below ``PRUNE_THRESHOLD`` trace; report the mass."""
     traces = ens.traces
     keep = traces >= PRUNE_THRESHOLD
     dropped = float(traces[~keep].sum())
     if not keep.all():
-        ens = BranchEnsemble(ens.amps[:, :, keep], full_traces=traces[keep])
+        ens = BranchEnsemble(ens.amps[:, :, keep])
     return ens, dropped
 
 

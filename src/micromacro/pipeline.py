@@ -181,15 +181,13 @@ class EngineDiagnostics:
     - ``n_max``: the Fock photon cutoff (2 when no squeeze runs).
     - ``kraus_orders``, ``neglected_mass``: per branch, the top Kraus order
       of the eta loss, and the trace those orders leave out.
-    - ``dropped_mass``: trace pruned from the eta expansion, before the block
-      is taken; the kept state's later pruning is not counted.
     - ``support_bound``: the top photon number of the un-squeezed state the
       run keeps.  Plain runs keep the rows the block reads after the eta2
       loss (1 at eta2 = 1, ``n_max`` at eta2 = 0); ``keep_state`` runs crop
       the whole state at its support.
-    - ``branch_count``: branches projected onto the block, before the
-      ``loss_on_a`` split (the kept state has more after its eta2
-      expansion).
+    - ``branch_count``: branches projected onto the block, every Kraus
+      image of nonzero trace, before the ``loss_on_a`` split (the kept
+      state has more after its eta2 expansion).
     - ``disagreement``: largest elementwise gap between ``fock_matrix`` and
       ``phase_space_matrix`` (``engine="both"``).
     """
@@ -197,7 +195,6 @@ class EngineDiagnostics:
     n_max: int | None = None
     kraus_orders: tuple[int, ...] = ()
     neglected_mass: float = 0.0
-    dropped_mass: float = 0.0
     support_bound: int | None = None
     branch_count: int | None = None
     disagreement: float | None = None
@@ -262,11 +259,8 @@ def _run_fock(
     # the eta loss keeps those rows of the un-squeezed images
     rows = n_max + 1 if keep_state else fk.projection_rows(cfg.eta2, n_max, mass_tol)
     if cfg.eta < 1.0:
-        total = float(ens.traces.sum())
-        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, r, rows)
-        diag.kraus_orders = expanded.kraus_orders
-        diag.neglected_mass = max(total - float(expanded.traces.sum()), 0.0)
-        ens, diag.dropped_mass = fk.prune_branches(expanded)
+        ens = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, r, rows)
+        diag.kraus_orders, diag.neglected_mass = ens.kraus_orders, ens.neglected_mass
     if keep_state:
         rows = min(max(ens.support(mass_tol), 3), n_max) + 1
     ens = ens.truncated(rows - 1)
@@ -277,7 +271,7 @@ def _run_fock(
     rho = fk.project_through_loss(spectated, cfg.eta2)
     if not keep_state:
         return rho, diag, None
-    # the kept state's own pruning leaves the block, and dropped_mass, alone
+    # the block is taken: pruning the kept state touches only the sampler's input
     if cfg.eta2 < 1.0:
         ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
     if cfg.loss_on_a:

@@ -385,9 +385,11 @@ class TestLossChannel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no log(0) in the Kraus table
             out = loss_on_branch(_single(_fock(3, 5), np.zeros(6)), 0.0)
-        # E_k = |0><k|: only the k = 3 image survives, moved to vacuum
+        # E_k = |0><k|: only the k = 3 image carries trace, moved to vacuum,
+        # and the loss emits it alone
+        assert out.kraus_orders == (3,)
         assert np.abs(out.amps[1, 1:]).max() == 0.0
-        assert np.flatnonzero(out.amps[1, 0]).tolist() == [3]
+        assert np.flatnonzero(out.amps[1, 0]).tolist() == [0]
         rho = _reduced_dm(out)
         assert rho[0, 0] == pytest.approx(1.0)
         assert np.abs(rho - np.diag(np.diag(rho))).max() == 0.0
@@ -437,10 +439,12 @@ class TestLossChannel:
             neglected = ens.traces[b] - np.cumsum(per_order)
             below = [k for k in range(top) if neglected[k] < share]
             assert out.kraus_orders[b] == (below[0] if below else top), b
+            # the images of zero trace are not emitted
             for k in range(out.kraus_orders[b] + 1):
-                assert np.abs(out.amps[1, :, start + k] - images[k][0]).max() < 1e-14
-                assert np.abs(out.amps[0, :, start + k] - images[k][1]).max() < 1e-14
-            start += out.kraus_orders[b] + 1
+                if per_order[k] > 0.0:
+                    assert np.abs(out.amps[1, :, start] - images[k][0]).max() < 1e-14
+                    assert np.abs(out.amps[0, :, start] - images[k][1]).max() < 1e-14
+                    start += 1
         assert start == len(out)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
@@ -473,23 +477,48 @@ class TestLossChannel:
             below = [k for k in range(top) if neglected[k] < share]
             order = below[0] if below else top
             assert full.kraus_orders[b] == order, b
-            for k in range(order + 1):
-                j = start + k
-                assert np.abs(full.amps[:, :, j] - images[k]).max() < 1e-14
-                assert np.abs(projected.amps[:, :, j] - images[k] @ inverse.T).max() < 1e-13
-                for out in (full, cut, projected):
-                    assert out.traces[j] == pytest.approx(per_order[k], rel=1e-13, abs=1e-300)
-            start += order + 1
-        assert start == len(full)
+            # the images of zero trace are not emitted
+            for k in np.flatnonzero(per_order[: order + 1]):
+                assert np.abs(full.amps[:, :, start] - images[k]).max() < 1e-14
+                assert np.abs(projected.amps[:, :, start] - images[k] @ inverse.T).max() < 1e-13
+                assert full.traces[start] == pytest.approx(per_order[k], rel=1e-13, abs=1e-300)
+                start += 1
+        assert start == len(full) == len(cut) == len(projected)
         assert np.array_equal(cut.amps, full.amps[:, :rows])
         assert cut.kraus_orders == projected.kraus_orders == full.kraus_orders
+        assert cut.neglected_mass == projected.neglected_mass == full.neglected_mass
 
     def test_zero_trace_branches_retire_at_order_zero(self):
+        # and, carrying no trace, emit no image
         out = loss_on_branch(BranchEnsemble(np.zeros((2, 5, 2))), 0.5)
         assert out.kraus_orders == (0, 0)
-        assert out.amps.shape == (2, 5, 2)
-        assert not out.amps.any()
-        assert np.array_equal(out.traces, [0.0, 0.0])
+        assert out.amps.shape == (2, 5, 0)
+        assert out.neglected_mass == 0.0
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
+    def test_emitted_images_and_neglected_mass_balance(self, eta):
+        # random branches plus an all-zero column, a zero-weight column and a
+        # one-parity column (odd orders of which carry no trace at eta = 0):
+        # every image emitted carries trace, and the trace the loss leaves
+        # out is what the emitted images miss of the input's
+        tail_tol, r, dim = 1e-8, 0.7, 16
+        weights = [0.2, 0.1, 0.3, 0.0, 0.15, 0.25]
+        amps = random_branches(np.random.default_rng(31), count=6, dim=dim, weights=weights).amps
+        amps[:, :, 4] = 0.0
+        amps[:, 1::2, 5] = 0.0  # even photon numbers in both arm halves
+        ens = BranchEnsemble(amps)
+        total = ens.traces.sum()
+        full = loss_on_branch(ens, eta, tail_tol)
+        assert (full.traces > 0.0).all()
+        slots = sum(order + 1 for order in full.kraus_orders)
+        assert len(full) == slots - (2 if eta else 2 + (full.kraus_orders[5] + 1) // 2)
+        assert full.neglected_mass == pytest.approx(total - full.traces.sum(), abs=1e-14 * total)
+        assert full.neglected_mass < tail_tol
+        for rows in (6, dim):
+            projected = loss_on_branch(ens, eta, tail_tol, r, rows)
+            assert len(projected) == len(full)
+            assert projected.kraus_orders == full.kraus_orders
+            assert projected.neglected_mass == full.neglected_mass
 
     def test_empty_ensemble_keeps_its_height(self):
         empty = BranchEnsemble(np.zeros((2, 5, 0)))
@@ -518,7 +547,7 @@ class TestLossChannel:
         prop = get_propagator(r, ens.n_max)
         oracle = np.stack([prop.apply_columns(half, -1) for half in plain.amps])
         assert np.abs(full.amps - oracle).max() <= 1e-13
-        assert np.array_equal(full.full_traces, plain.full_traces)
+        assert full.neglected_mass == plain.neglected_mass
         assert full.kraus_orders == plain.kraus_orders
 
     def test_spectator_loss(self, bell_branch):
@@ -650,17 +679,6 @@ class TestEnsemble:
         assert dropped == pytest.approx(1e-16)
         assert np.array_equal(kept.amps[1, 0], [1.0, 0.5])
 
-
-    def test_prune_weighs_full_traces(self):
-        # branches held by their leading rows only: pruning weighs the full
-        # traces given, and the branches it keeps carry theirs along
-        amps = np.zeros((2, 2, 3))
-        amps[1, 0] = [1.0, 1e-8, 1e-8]
-        ens = BranchEnsemble(amps, full_traces=np.array([1.5, 1e-15, 0.5]))
-        kept, dropped = prune_branches(ens)
-        assert dropped == 1e-15
-        assert np.array_equal(kept.amps[1, 0], [1.0, 1e-8])
-        assert np.array_equal(kept.traces, [1.5, 0.5])
 
 class TestProjection:
     def test_input_state_block(self, bell_branch):

@@ -191,14 +191,26 @@ class TestRun:
             assert np.abs(fused.rho_p.matrix - rebuilt.matrix).max() < 1e-10, r
             assert np.abs(fused.rho_p.matrix - res.rho_p.matrix).max() < 1e-10, r
 
-    def test_dropped_mass_ignores_the_kept_state(self):
-        # the kept ensemble is pruned again after the eta2 and spectator
-        # expansions; the block does not depend on that mass
-        cfg = ExperimentConfig(
-            r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock"
-        )
-        kept = run(cfg, keep_state=True).diagnostics.dropped_mass
-        assert kept == run(cfg).diagnostics.dropped_mass
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    @pytest.mark.parametrize("eta", [0.9, 0.5])
+    @pytest.mark.parametrize("target_n", [1.0, 10.0])
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-14])
+    def test_block_keeps_every_kraus_image(self, tail_tol, target_n, eta, loss_on_a):
+        # at eta > 0 every Kraus image of the squeezed input carries trace,
+        # and the block is taken over all of them, up to each retired order
+        cfg = ExperimentConfig(target_n=target_n, eta1=0.9, eta=eta, eta2=0.9,
+                               loss_on_a=loss_on_a, tail_tol=tail_tol, engine="both")
+        diag = run(cfg).diagnostics
+        orders = diag.kraus_orders
+        assert diag.branch_count == sum(orders) + len(orders)
+
+    def test_block_drops_only_zero_trace_images_at_eta_zero(self):
+        # E_k = |0><k| takes one parity of each arm half: the other order
+        # parity's images carry no trace and are not emitted
+        cfg = ExperimentConfig(target_n=10.0, eta1=0.9, eta=0.0, eta2=0.9, engine="fock")
+        diag = run(cfg).diagnostics
+        assert diag.branch_count == 358
+        assert diag.branch_count < sum(diag.kraus_orders) + len(diag.kraus_orders)
 
     def test_keep_state_phase_space(self):
         res = run(ExperimentConfig(r=1.0, eta=0.9, engine="phase_space"), keep_state=True)
