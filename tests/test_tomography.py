@@ -3,13 +3,16 @@
 The pattern-function estimator is validated against an exact-integration
 oracle: for known pure states the phase-and-quadrature average of the kernel
 must reproduce each density-matrix element.  The closed-form kernels are
-checked against the quadrature of their defining integral, and the
-table-driven sampler against a per-row tabulated inverse-CDF sampler on the
-same grids.  Sampler statistics are checked at the five-sigma level with
-fixed seeds.
+checked against the quadrature of their defining integral, the moment-based
+reconstruction against the per-sample mean and standard deviation of every
+kernel product, and the table-driven sampler against a per-row tabulated
+inverse-CDF sampler on the same grids.  Sampler statistics are checked at
+the five-sigma level with fixed seeds, and the memory of ``sample`` and
+``reconstruct`` against traced-allocation bounds.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +33,7 @@ from micromacro import (
     run,
     sample,
 )
+from micromacro import tomography
 from micromacro.entanglement import spin_flip_concurrence
 
 from conftest import random_branches
@@ -189,6 +193,16 @@ def _reference_sample(state, n_samples, phase_policy, seed):
     return [np.concatenate(c) for c in zip(*cols)]
 
 
+def _traced_peak(fn, *args, **kwargs) -> float:
+    """Peak traced Python-heap memory (MiB) of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestHermiteFunctions:
     def test_orthonormal(self):
         x = np.linspace(-12, 12, 4001)
@@ -292,6 +306,37 @@ class TestSampler:
         assert np.array_equal(rec.theta_b, th_b)
         assert np.abs(rec.x_a - x_a).max() < 1e-7
         assert np.abs(rec.x_b - x_b).max() < 1e-7
+
+    def test_pair_sub_blocks_match_one_block(self, monkeypatch):
+        state = _pipeline_state()
+        n_pairs = 15 * 16 // 2  # support 14
+        n_samples = 2 * 2048 + 300
+        monkeypatch.setattr(tomography, "_PAIR_ENTRIES", 1 << 30)
+        whole = sample(state, n_samples, seed=7)
+
+        sizes = []
+        draw = tomography._draw
+
+        def counting_draw(coef, *args):
+            if coef.shape[1] == n_pairs:
+                sizes.append(len(coef))
+            return draw(coef, *args)
+
+        monkeypatch.setattr(tomography, "_draw", counting_draw)
+        monkeypatch.setattr(tomography, "_PAIR_ENTRIES", 700 * n_pairs)
+        split = sample(state, n_samples, seed=7)
+        assert sizes == [700, 700, 648, 700, 700, 648, 300]
+        for field in ("theta_a", "theta_b", "x_a", "x_b"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field))
+        th_a, th_b, x_a, x_b = _reference_sample(state, n_samples, "uniform_random", 7)
+        assert np.array_equal(split.theta_a, th_a)
+        assert np.array_equal(split.theta_b, th_b)
+        assert np.abs(split.x_a - x_a).max() < 1e-7
+        assert np.abs(split.x_b - x_b).max() < 1e-7
+
+    def test_high_support_memory_is_bounded(self):
+        # whole-block pair products (three live copies) would take 282 MiB
+        assert _traced_peak(sample, _high_support_state(), 2 * 2048 + 300, seed=3) <= 160
 
     def test_invalid_args(self, bell_branch):
         with pytest.raises(ValueError):
@@ -440,7 +485,63 @@ class TestPatternFunctions:
                 assert est == pytest.approx(rho[m, n], abs=2e-6)
 
 
+def _reference_reconstruct(record):
+    """The per-sample estimator: the (16, N) stack of kernel products
+    f_{m m'}(x_A) e^{i(m-m')theta_A} f_{n n'}(x_B) e^{i(n-n')theta_B}, its
+    mean, and its standard deviation (ddof = 1) over sqrt(N)."""
+    arms = []
+    for x, theta in ((record.x_a, record.theta_a), (record.x_b, record.theta_b)):
+        harmonic = np.exp(1j * theta)
+        f10 = pattern_function(1, 0, x)
+        arms.append({
+            (0, 0): pattern_function(0, 0, x), (1, 1): pattern_function(1, 1, x),
+            (1, 0): f10 * harmonic, (0, 1): f10 * harmonic.conj(),
+        })
+    kern_a, kern_b = arms
+    z = np.stack([
+        kern_a[row // 2, col // 2] * kern_b[row % 2, col % 2]
+        for row in range(4) for col in range(4)
+    ])
+    root_n = math.sqrt(len(record))
+    return (
+        z.mean(axis=1).reshape(4, 4),
+        (z.real.std(axis=1, ddof=1) / root_n).reshape(4, 4),
+        (z.imag.std(axis=1, ddof=1) / root_n).reshape(4, 4),
+    )
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize(
+        "n_samples", [1000, tomography._CHUNK, 3 * tomography._CHUNK + 300]
+    )
+    @pytest.mark.parametrize("state_name", ["bell", "pipeline", "complex"])
+    def test_moments_match_per_sample_reference(self, bell_branch, state_name, n_samples):
+        state = {
+            "bell": lambda: bell_branch,
+            "pipeline": _pipeline_state,
+            "complex": _complex_state,
+        }[state_name]()
+        rec = sample(state, n_samples, seed=29)
+        recon = reconstruct(rec)
+        est, se_re, se_im = _reference_reconstruct(rec)
+        assert np.abs(recon.estimate - est).max() < 1e-12
+        for got, ref in ((recon.se_real, se_re), (recon.se_imag, se_im)):
+            assert np.array_equal(got == 0, ref == 0)
+            nonzero = ref != 0
+            assert np.abs(got[nonzero] / ref[nonzero] - 1.0).max() < 1e-10
+        assert np.array_equal(recon.estimate, recon.estimate.conj().T)
+
+    def test_memory_is_bounded(self):
+        rng = np.random.default_rng(11)
+        n = 100_000
+        rec = TomographyRecord(
+            theta_a=rng.uniform(0.0, np.pi, n), theta_b=rng.uniform(0.0, np.pi, n),
+            x_a=rng.normal(size=n), x_b=rng.normal(size=n),
+        )
+        reconstruct(rec)  # scipy.special loads outside the traced call
+        # a per-sample (16, N) stack of kernel products would take 56.5 MiB
+        assert _traced_peak(reconstruct, rec) <= 12
+
     def test_input_state_reconstruction(self, bell_branch):
         rec = sample(bell_branch, 100000, seed=17)
         recon = reconstruct(rec)
