@@ -421,7 +421,7 @@ def loss_on_branch(
     left = traces.copy()
     orders = np.zeros(n_branches, dtype=int)
     live = np.arange(n_branches)
-    emits, images = [], []  # (branch, order), (arm, branch, order, parity, rows) of trace > 0
+    images = []  # (arm, branch, order, parity, rows) of the slots of trace > 0
     k0, grow = 0, 16
     while len(live):
         width = 1 if eta == 0.0 else n_rows - k0
@@ -456,8 +456,6 @@ def loss_on_branch(
         orders[live[retired]] = k0 + last[retired]
         left[live] = left_after[np.arange(len(live)), last]
         emit = (np.arange(count) <= last[:, None]) & (t > 0.0)
-        i, j = np.nonzero(emit)
-        emits.append((live[i], k0 + j))
         for mine, j, p, img in groups:
             i, jj = np.nonzero(emit[local[mine][:, None], j])
             images.append((arm[mine][i], branch[mine][i], k0 + j[jj], p, img[i, jj]))
@@ -466,16 +464,12 @@ def loss_on_branch(
         parts, arm, q, branch = parts[on], arm[on], q[on], branch[on]
         k0, grow = k0 + count, 2 * grow
 
-    # order k of branch b is slot start[b] + k of the branch-major orders;
-    # the images of nonzero trace fill the columns in slot order
-    start = np.cumsum(orders + 1) - (orders + 1)
-    emitted = np.zeros(int((orders + 1).sum()), bool)
-    for branch, k in emits:
-        emitted[start[branch] + k] = True
-    column = np.cumsum(emitted) - 1
-    out = np.zeros((2, int(emitted.sum()), height), np.result_type(amps, float))
+    # the images of nonzero trace fill the columns in branch-major order (k < n_rows)
+    keys = [branch * n_rows + k for _, branch, k, *_ in images]
+    keys = np.unique(np.concatenate([np.zeros(0, int)] + keys))
+    out = np.zeros((2, len(keys), height), np.result_type(amps, float))
     for arm, branch, k, p, img in images:
-        out[:, :, p::2][arm, column[start[branch] + k], : img.shape[1]] = img
+        out[:, :, p::2][arm, np.searchsorted(keys, branch * n_rows + k), : img.shape[1]] = img
     out = out.transpose(0, 2, 1)
     if r and full:
         prop = get_propagator(r, n_rows - 1)

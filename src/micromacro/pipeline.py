@@ -16,8 +16,8 @@ numbers after the eta2 loss (``projection_rows``), so the eta loss keeps
 only those rows of each Kraus image's inverse squeeze, and a plain run
 never holds the expanded state.  With ``keep_state`` the eta loss keeps
 every row of the un-squeezed images; the engine crops that state at its
-support and also expands it through the eta2 loss (and the spectator loss)
-for the tomography sampler.
+support, and the tomography sampler gets one eta2 expansion of the
+spectator-split ensemble the block reads, pruned once.
 
 An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
 ``sweep`` take any config as valid.  ``from_mapping``, keyed by
@@ -50,6 +50,7 @@ from .errors import TruncationError
 ENGINES = ("auto", "fock", "phase_space", "both")
 
 MIN_TARGET_N = 0.5
+_MIN_TAIL_TOL = 1e-14
 
 # the numeric fields' types, bool aside; cheaper to test than numbers.Real
 _REAL_TYPES = (int, float, np.integer, np.floating)
@@ -119,9 +120,10 @@ class ExperimentConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if not isinstance(self.loss_on_a, (bool, np.bool_)):
             raise ValueError(f"loss_on_a must be a bool, got {self.loss_on_a!r}")
-        # a tail bound of 1 or more certifies nothing
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
+        # a tail bound of 1 or more certifies nothing, and below _MIN_TAIL_TOL
+        # the loss expansion's retirement no longer resolves its share
+        if not _MIN_TAIL_TOL <= self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in [{_MIN_TAIL_TOL:g}, 1), got {self.tail_tol}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -272,10 +274,7 @@ def _run_fock(
     if not keep_state:
         return rho, diag, None
     # the block is taken: pruning the kept state touches only the sampler's input
-    if cfg.eta2 < 1.0:
-        ens, _ = fk.prune_branches(fk.loss_on_branch(ens, cfg.eta2, cfg.tail_tol))
-    if cfg.loss_on_a:
-        ens, _ = fk.prune_branches(fk.loss_on_spectator(ens, cfg.eta2))
+    ens, _ = fk.prune_branches(fk.loss_on_branch(spectated, cfg.eta2, cfg.tail_tol))
     return rho, diag, ens
 
 

@@ -11,7 +11,8 @@ x_A, running branch sums, pair products phi_m phi_n for x_B), inverted by
 a bracketed bisection over the grid index.  Blocks of samples get
 independent child seeds from the master seed, so records are reproducible
 bit-for-bit.  x_B's per-draw pair products are formed in sub-blocks of
-about 2^17 entries, so memory does not grow with support^2 times the block.
+about 2^17 entries, so memory does not grow with support^2 times the block,
+and its cumulative pair table is thinned to at most 2^21 entries.
 
 Reconstruction maps quadrature samples to Fock-basis matrix elements with
 pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
@@ -52,6 +53,7 @@ _KNOT = 16  # table rows between the brackets that start a CDF search
 # per-row loop that builds them at large support
 _PAIR_ENTRIES = 1 << 17
 _PAIR_DRAWS = 32
+_TABLE_ENTRIES = 1 << 21  # cap of arm B's cumulative pair table (16 MiB)
 _CHUNK = 1 << 14  # samples per chunk of reconstruct's moment sums
 
 
@@ -259,11 +261,10 @@ def sample(
     # arm B: the cumulative trapezoid of |c.phi|^2 is sum_{m<=n} R_mn T_mn with
     # R_mn = Re(c_m^* c_n) and T_mn that of phi_m phi_n (doubled off the
     # diagonal), kept at every stride-th grid point and the last; the stride
-    # is the smallest power of two that keeps the table within the
-    # 2 * block * G floats one block's tabulated complex amplitudes would take
+    # is the smallest power of two that keeps the table within _TABLE_ENTRIES
     n_pairs = m_dim * (m_dim + 1) // 2
     stride = 1
-    while n_pairs * ((n_b - 2) // stride + 2) > 2 * _BLOCK_SIZE * n_b:
+    while n_pairs * ((n_b - 2) // stride + 2) > _TABLE_ENTRIES:
         stride *= 2
     coarse = np.append(np.arange(0, n_b - 1, stride), n_b - 1)
     doubled = np.append(1.0, np.full(support, 2.0))[:, None]

@@ -83,6 +83,9 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "tomo", "--r", "0.5", "--seed", "-1")
         assert code != 0
         assert json.loads(err)["message"].startswith("seed must be")
+        code, _, err = run_cli(capsys, "simulate", "--r", "1", "--tail-tol", "1e-16")
+        assert code == 1
+        assert json.loads(err)["message"].startswith("tail_tol must lie in [1e-14, 1)")
 
     def test_missing_strength(self, capsys):
         code, _, err = run_cli(capsys, "simulate")

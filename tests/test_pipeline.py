@@ -92,11 +92,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be a real number"):
             ExperimentConfig(**base, **{field: bad})
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-12, 1.0, 10.0])
+    @pytest.mark.parametrize("bad", [0.0, -1e-12, 1.0, 10.0, 1e-15])
     def test_tail_tol_range(self, bad):
-        # tail_tol=10 used to run in Fock with n_max 2 and a 0.22 disagreement
-        with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\)"):
-            ExperimentConfig(r=1.0, eta=0.9, engine="both", tail_tol=bad)
+        # tail_tol=10 used to run in Fock with n_max 2 and a 0.22 disagreement;
+        # below 1e-14 the loss expansion's retirement stops resolving, and the
+        # floor holds in every engine
+        for engine in pl.ENGINES:
+            with pytest.raises(ValueError, match=r"^tail_tol must lie in \[1e-14, 1\)"):
+                ExperimentConfig(r=1.0, eta=0.9, engine=engine, tail_tol=bad)
+            ExperimentConfig(r=1.0, eta=0.9, engine=engine, tail_tol=1e-14)
 
     def test_fock_photon_cap_checked_at_validation(self):
         # target_n=1e4 used to validate and then raise TruncationError in run
@@ -227,6 +231,21 @@ class TestRun:
         kept = run(replace(cfg, engine="fock"), keep_state=True)
         rebuilt = branches_to_projected(kept.final_branches)
         assert np.abs(rebuilt.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    @pytest.mark.parametrize("eta2", [1.0, 0.95, 0.5])
+    @pytest.mark.parametrize("tail_tol", [1e-10, 1e-14])
+    def test_kept_state_is_one_pruned_expansion(self, tail_tol, eta2, loss_on_a):
+        # the kept state is the block's spectator-split ensemble through the
+        # eta2 loss, pruned once at every eta2: at tail_tol = 1e-14 the eta
+        # loss itself emits images below the prune threshold (ten of 131 here)
+        cfg = ExperimentConfig(r=1.0, eta1=0.9, eta=0.5, eta2=eta2, loss_on_a=loss_on_a,
+                               tail_tol=tail_tol, engine="fock")
+        plain = run(cfg).rho_p.matrix
+        kept = run(cfg, keep_state=True)
+        assert kept.final_branches.traces.min() >= fk.PRUNE_THRESHOLD
+        assert np.abs(branches_to_projected(kept.final_branches).matrix - plain).max() < 1e-10
+        assert np.abs(kept.rho_p.matrix - plain).max() < 1e-10
 
     @pytest.mark.parametrize("field", ["eta1", "eta", "eta2"])
     @pytest.mark.parametrize("loss_on_a", [False, True])

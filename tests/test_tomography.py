@@ -72,7 +72,8 @@ def _two_mode_vacuum() -> BranchEnsemble:
 
 
 def _pipeline_state() -> BranchEnsemble:
-    """Kept Fock state at r = 1 with loss on both arms: 184 branches, support 14."""
+    """Kept Fock state at r = 1 with loss on both arms, its spectator-split
+    ensemble expanded once through the eta2 loss: 183 branches, support 14."""
     cfg = ExperimentConfig(
         r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock", seed=1
     )
@@ -86,11 +87,13 @@ def _complex_state() -> BranchEnsemble:
     )
 
 
-def _high_support_state() -> BranchEnsemble:
-    """One branch reaching photon number 95; from support 90 on, the sampler
-    keeps its pair table at every other grid point only."""
+def _high_support_state(support: int = 95) -> BranchEnsemble:
+    """One branch reaching photon number ``support``; from support 49 on, the
+    sampler keeps its pair table at every stride-th grid point only (stride 8
+    at support 95, 128 at 239)."""
     rng = np.random.default_rng(4)
-    amps = rng.normal(size=(2, 96, 1)) * np.exp(-np.arange(96) / 60.0)[:, None]
+    rows = support + 1
+    amps = rng.normal(size=(2, rows, 1)) * np.exp(-np.arange(rows) / 60.0)[:, None]
     return BranchEnsemble((amps / np.linalg.norm(amps))[::-1])
 
 
@@ -334,9 +337,17 @@ class TestSampler:
         assert np.abs(split.x_a - x_a).max() < 1e-7
         assert np.abs(split.x_b - x_b).max() < 1e-7
 
-    def test_high_support_memory_is_bounded(self):
-        # whole-block pair products (three live copies) would take 282 MiB
-        assert _traced_peak(sample, _high_support_state(), 2 * 2048 + 300, seed=3) <= 160
+    @pytest.mark.parametrize(
+        "support, n_samples, bound", [(95, 2 * 2048 + 300, 40), (239, 64, 96)],
+        ids=["support95", "support239"],
+    )
+    def test_high_support_memory_is_bounded(self, support, n_samples, bound):
+        # whole-block pair products (three live copies) took 282 MiB at support
+        # 95; a pair table capped by one block's tabulated amplitudes took 67 MiB
+        # there and 221 MiB at 239
+        state = _high_support_state(support)
+        assert state.support(1e-12) == support
+        assert _traced_peak(sample, state, n_samples, seed=3) <= bound
 
     def test_invalid_args(self, bell_branch):
         with pytest.raises(ValueError):
