@@ -27,7 +27,6 @@ from .fock import (
     SqueezePropagator,
     choose_n_max,
     loss_on_branch,
-    loss_on_spectator,
     mean_photon,
     project_through_loss,
     squeezed_one,
@@ -81,7 +80,6 @@ __all__ = [
     "initial_wigner",
     "loss_convolve",
     "loss_on_branch",
-    "loss_on_spectator",
     "mean_photon",
     "pattern_function",
     "project_through_loss",

@@ -8,9 +8,9 @@ by arm A's photon number, arm B's and the branch.  Arm B enters the squeezer
 in |0> or |1> only, so the squeezed input is written from the closed-form
 squeezed vacuum and squeezed single photon (plain real amplitude arrays).
 Every later stage acts on the whole array at once: the binomial photon-loss
-Kraus channel (its images of nonzero trace), the spectator loss on arm A (a
-kept and a decayed branch each), the inverse squeeze unitary exp(-r (a^2 -
-a+^2)/2) and the projection onto the {0,1}x{0,1} block (one contraction).
+Kraus channel (its images of nonzero trace), the inverse squeeze unitary
+exp(-r (a^2 - a+^2)/2) and the projection onto the {0,1}x{0,1} block (one
+contraction, which also takes both arms' detection losses in closed form).
 
 The squeezed input holds one photon parity per arm half (vacuum family
 even, one family odd); the squeeze keeps parity and a Kraus order shifts
@@ -33,7 +33,7 @@ squeezed state or loss, ``scipy.linalg`` with the first propagator build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,9 +53,10 @@ def _abs2(a: np.ndarray) -> np.ndarray:
     return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+def _check_eta(*etas: float) -> None:
+    for eta in etas:
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +75,22 @@ class BranchEnsemble:
     complex arrays are accepted everywhere.  ``kraus_orders`` records, per
     input branch, the highest Kraus order of the loss expansion that produced
     the ensemble (empty otherwise), and ``neglected_mass`` the trace those
-    orders leave out.  ``traces`` are always the squared norms of the
-    columns of ``amps``.
+    orders leave out, ``detection_eta`` the losses (eta_A, eta_B) in front of
+    the homodyne detectors, not applied to ``amps``.  ``traces`` are always
+    the squared norms of the columns of ``amps``.
     """
 
     amps: np.ndarray
     kraus_orders: tuple[int, ...] = ()
     neglected_mass: float = 0.0
+    detection_eta: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps)
         if self.amps.ndim != 3 or self.amps.shape[0] != 2:
             raise ValueError("amps must be a (2, n_max+1, K) array")
+        eta_a, eta_b = self.detection_eta = tuple(map(float, self.detection_eta))
+        _check_eta(eta_a, eta_b)
 
     def __len__(self) -> int:
         return self.amps.shape[2]
@@ -101,7 +106,7 @@ class BranchEnsemble:
 
     def truncated(self, n_max: int) -> "BranchEnsemble":
         """The same branches on photon numbers 0..n_max (a view, no copy)."""
-        return BranchEnsemble(self.amps[:, : n_max + 1])
+        return replace(self, amps=self.amps[:, : n_max + 1])
 
     def support(self, mass_tol: float) -> int:
         """Largest photon number from which the ensemble still carries more
@@ -477,28 +482,13 @@ def loss_on_branch(
     return BranchEnsemble(out, tuple(int(o) for o in orders), max(float(left.sum()), 0.0))
 
 
-def loss_on_spectator(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
-    """Loss on the two-level arm A: |1>_A decays to |0>_A with weight 1-eta.
-
-    Each branch becomes the pair (kept, decayed), in branch order.
-    """
-    _check_eta(eta)
-    if eta == 1.0:
-        return ens
-    out = np.zeros(ens.amps.shape + (2,), np.result_type(ens.amps, float))
-    out[0, :, :, 0] = ens.amps[0]
-    out[1, :, :, 0] = math.sqrt(eta) * ens.amps[1]
-    out[0, :, :, 1] = math.sqrt(1.0 - eta) * ens.amps[1]
-    return BranchEnsemble(out.reshape(2, ens.n_max + 1, -1))
-
-
 def prune_branches(ens: BranchEnsemble) -> tuple[BranchEnsemble, float]:
     """Drop a kept state's branches below ``PRUNE_THRESHOLD`` trace; report the mass."""
     traces = ens.traces
     keep = traces >= PRUNE_THRESHOLD
     dropped = float(traces[~keep].sum())
     if not keep.all():
-        ens = BranchEnsemble(ens.amps[:, :, keep])
+        ens = replace(ens, amps=ens.amps[:, :, keep])
     return ens, dropped
 
 
@@ -523,17 +513,20 @@ def projection_rows(eta: float, n_max: int, mass_tol: float) -> int:
     return int(below[0]) + 1 if len(below) else n_max + 1
 
 
-def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMatrix:
-    """Projected block after a trailing loss channel, without branch expansion.
+def project_through_loss(
+    ens: BranchEnsemble, eta: float, eta_a: float = 1.0
+) -> ProjectedDensityMatrix:
+    """Projected block after trailing losses eta on arm B and ``eta_a`` on A.
 
     Only photon numbers 0 and 1 of each Kraus image survive the projection,
     so the k-sum collapses to closed form:
     (E_k w)[0] = (1-eta)^(k/2) w[k] and
     (E_k w)[1] = sqrt(eta (k+1)) (1-eta)^(k/2) w[k+1].
     Algebraically identical to loss_on_branch followed by the Gram matrix
-    of the images' rows 0 and 1, summed over all Kraus orders.
+    of the images' rows 0 and 1, summed over all Kraus orders.  Arm A never
+    leaves {0, 1}, so its loss acts on the block itself, in closed form.
     """
-    _check_eta(eta)
+    _check_eta(eta, eta_a)
     n = np.arange(ens.n_max + 1, dtype=float)
     half = np.power(1.0 - eta, n / 2.0)[:, None]
     t1 = np.sqrt(eta * (n[:-1] + 1.0))[:, None] * half[:-1]
@@ -541,5 +534,9 @@ def project_through_loss(ens: BranchEnsemble, eta: float) -> ProjectedDensityMat
     rows = np.zeros((2, 2) + ens.amps.shape[1:], dtype=ens.amps.dtype)
     rows[:, 0] = half * ens.amps
     rows[:, 1, :-1] = t1 * ens.amps[:, 1:]
-    block = np.tensordot(rows, rows.conj(), axes=([2, 3], [2, 3]))
-    return ProjectedDensityMatrix(block.reshape(4, 4))
+    block = np.tensordot(rows, rows.conj(), axes=([2, 3], [2, 3])).reshape(4, 4)
+    if eta_a < 1.0:
+        block[:2, :2] += (1.0 - eta_a) * block[2:, 2:]
+        block[2:] *= math.sqrt(eta_a)
+        block[:, 2:] *= math.sqrt(eta_a)
+    return ProjectedDensityMatrix(block)

@@ -10,14 +10,13 @@ eta < 1 (otherwise it cancels); ``ExperimentConfig.pair_r`` is that rule,
 for validation, ``run`` and ``sweep`` alike.
 The Fock engine holds the state as one (2, n_max+1, K) amplitude array
 (``BranchEnsemble``), starts it from the closed-form squeezed input and
-takes the block from ``project_through_loss``, after ``loss_on_spectator``
-when ``loss_on_a`` is set.  That block reads only the leading photon
-numbers after the eta2 loss (``projection_rows``), so the eta loss keeps
-only those rows of each Kraus image's inverse squeeze, and a plain run
-never holds the expanded state.  With ``keep_state`` the eta loss keeps
+takes the block from ``project_through_loss``, with the eta2 loss on arm B
+and, with ``loss_on_a``, on arm A.  That block reads only the leading
+photon numbers after the eta2 loss (``projection_rows``), so the eta loss
+keeps only those rows of each Kraus image's inverse squeeze, and a plain
+run never holds the expanded state.  With ``keep_state`` the eta loss keeps
 every row of the un-squeezed images; the engine crops that state at its
-support, and the tomography sampler gets one eta2 expansion of the
-spectator-split ensemble the block reads, pruned once.
+support and prunes it once, and the sampler applies its ``detection_eta``.
 
 An ``ExperimentConfig`` is checked once, when it is built, so ``run`` and
 ``sweep`` take any config as valid.  ``from_mapping``, keyed by
@@ -188,8 +187,7 @@ class EngineDiagnostics:
       loss (1 at eta2 = 1, ``n_max`` at eta2 = 0); ``keep_state`` runs crop
       the whole state at its support.
     - ``branch_count``: branches projected onto the block, every Kraus
-      image of nonzero trace, before the ``loss_on_a`` split (the kept
-      state has more after its eta2 expansion).
+      image of nonzero trace.
     - ``disagreement``: largest elementwise gap between ``fock_matrix`` and
       ``phase_space_matrix`` (``engine="both"``).
     """
@@ -269,13 +267,12 @@ def _run_fock(
     diag.support_bound = rows - 1
     diag.branch_count = len(ens)
 
-    spectated = fk.loss_on_spectator(ens, cfg.eta2) if cfg.loss_on_a else ens
-    rho = fk.project_through_loss(spectated, cfg.eta2)
+    eta_a = cfg.eta2 if cfg.loss_on_a else 1.0
+    rho = fk.project_through_loss(ens, cfg.eta2, eta_a)
     if not keep_state:
         return rho, diag, None
     # the block is taken: pruning the kept state touches only the sampler's input
-    ens, _ = fk.prune_branches(fk.loss_on_branch(spectated, cfg.eta2, cfg.tail_tol))
-    return rho, diag, ens
+    return rho, diag, fk.prune_branches(replace(ens, detection_eta=(eta_a, cfg.eta2)))[0]
 
 
 def _run_phase_space(r, eta1, eta, eta2, loss_on_a: bool):
@@ -314,8 +311,8 @@ def run(config: ExperimentConfig, keep_state: bool = False) -> ExperimentResult:
     """Execute one experiment point in the configured engine(s).
 
     With ``keep_state=True`` the Fock route also returns the final branch
-    ensemble (used by the tomography sampler) and the phase-space route the
-    final Wigner function.
+    ensemble for the tomography sampler (the eta2 losses as its
+    ``detection_eta``) and the phase-space route the final Wigner function.
     """
     t0 = time.perf_counter()
     r, pair_r = config.resolved_r(), config.pair_r()

@@ -13,6 +13,8 @@ independent child seeds from the master seed, so records are reproducible
 bit-for-bit.  x_B's per-draw pair products are formed in sub-blocks of
 about 2^17 entries, so memory does not grow with support^2 times the block,
 and its cumulative pair table is thinned to at most 2^21 entries.
+Detection losses act on the quadratures (Lvovsky & Raymer, RMP 81, 299
+(2009)): each block maps x -> sqrt(eta) x + sqrt(1 - eta) z, z ~ N(0, 1/2).
 
 Reconstruction maps quadrature samples to Fock-basis matrix elements with
 pattern-function kernels: rho_mn = E[f_mn(x) e^{i(m-n)theta}] for phases
@@ -220,8 +222,9 @@ def sample(
 
     Phases are uniform on [0, pi) per sample (default) or cycle through a
     fixed 6x6 grid.  x_A is drawn from its exact marginal, then x_B from the
-    conditional given x_A, resolved over branches.  Per-block child seeds
-    derived from ``seed`` make the record deterministic.
+    conditional given x_A, resolved over branches; ``state.detection_eta``
+    adds vacuum noise.  Per-block child seeds derived from ``seed`` make the
+    record deterministic.
     """
     for name, value, low in (("n_samples", n_samples, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -290,6 +293,7 @@ def sample(
 
         return _draw(r_mat, cum_b, stride, grid_b, u, density)
 
+    eta = np.array(state.detection_eta)[:, None]
     n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     grid_phases = np.pi * np.arange(6) / 6
@@ -331,6 +335,9 @@ def sample(
         x_b = np.concatenate([
             draw_b(coeff[lo:lo + step], u_b[lo:lo + step]) for lo in range(0, count, step)
         ])
+        if np.any(eta < 1.0):
+            vacuum = rng.normal(0.0, math.sqrt(0.5), (2, count))
+            x_a, x_b = np.sqrt(eta) * (x_a, x_b) + np.sqrt(1.0 - eta) * vacuum
 
         blocks.append((th_a, th_b, x_a, x_b))
 

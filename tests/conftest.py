@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,29 @@ def branches_to_projected(ens: BranchEnsemble) -> ProjectedDensityMatrix:
     lands at position [2, 1] (the oracle of ``project_through_loss``)."""
     c = ens.amps[:, :2].reshape(4, len(ens))
     return ProjectedDensityMatrix(c @ c.conj().T)
+
+
+def spectator_split(ens: BranchEnsemble, eta: float) -> BranchEnsemble:
+    """Loss on the two-level arm A as a branch expansion (the oracle of
+    ``project_through_loss``'s ``eta_a``): |1>_A decays to |0>_A with weight
+    1-eta, and branch b becomes the pair (kept, decayed), columns 2b and 2b+1."""
+    if eta == 1.0:
+        return ens
+    out = np.zeros(ens.amps.shape + (2,), np.result_type(ens.amps, float))
+    out[0, :, :, 0] = ens.amps[0]
+    out[1, :, :, 0] = np.sqrt(eta) * ens.amps[1]
+    out[0, :, :, 1] = np.sqrt(1.0 - eta) * ens.amps[1]
+    return BranchEnsemble(out.reshape(2, ens.n_max + 1, -1))
+
+
+def traced_peak(fn, *args, **kwargs) -> float:
+    """Peak traced Python-heap memory (MiB) of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def xstate(p00, p01, p10, p11, d=0.0, d_prime=0.0) -> ProjectedDensityMatrix:

@@ -20,7 +20,6 @@ from micromacro import (
     TruncationError,
     choose_n_max,
     loss_on_branch,
-    loss_on_spectator,
     mean_photon,
     project_through_loss,
     squeezed_one,
@@ -31,7 +30,7 @@ from micromacro import fock as fk
 from micromacro import pipeline as pl
 from micromacro.fock import _CHUNK_ENTRIES, get_propagator, prune_branches
 
-from conftest import branches_to_projected, random_branches
+from conftest import branches_to_projected, random_branches, spectator_split
 
 # mpmath oracle, 40 digits: (1/sqrt(cosh r)) * sqrt((2k)!)/(2^k k!) * (-tanh r)^k
 SV_05 = {
@@ -551,25 +550,31 @@ class TestLossChannel:
         assert full.kraus_orders == plain.kraus_orders
 
     def test_spectator_loss(self, bell_branch):
-        out = loss_on_spectator(bell_branch, 0.8)
-        assert out.traces.sum() == pytest.approx(bell_branch.traces.sum())
-        assert out.amps[1, 0, 0] == pytest.approx(math.sqrt(0.8) / math.sqrt(2))
-        assert out.amps[0, 0, 1] == pytest.approx(math.sqrt(0.2) / math.sqrt(2))
-
-    def test_spectator_order_on_many_branches(self):
-        # branch b becomes columns 2b (kept) and 2b + 1 (decayed); the
-        # sampler's branch choice, and so every seeded record, reads that order
-        eta = 0.7
+        # arm A's loss on the block in closed form, against the spectator
+        # split of complex branches read off as a block
+        rho = project_through_loss(bell_branch, 1.0, 0.8)
+        assert rho.p10 == pytest.approx(0.4)
+        assert rho.p00 == pytest.approx(0.1)
+        assert rho.d == pytest.approx(0.5 * math.sqrt(0.8))
         ens = random_branches(np.random.default_rng(21), count=4, dim=6)
-        out = loss_on_spectator(ens, eta)
-        assert len(out) == 2 * len(ens)
-        v, u = ens.amps
-        kept = np.stack([v, math.sqrt(eta) * u])
-        decayed = np.stack([math.sqrt(1.0 - eta) * u, np.zeros_like(u)])
-        assert np.abs(out.amps[:, :, 0::2] - kept).max() < 1e-15
-        assert np.abs(out.amps[:, :, 1::2] - decayed).max() < 1e-15
+        for eta_a in (0.0, 0.3, 0.8, 1.0):
+            block = project_through_loss(ens, 1.0, eta_a).matrix
+            oracle = branches_to_projected(spectator_split(ens, eta_a)).matrix
+            assert np.abs(block - oracle).max() < 1e-14, eta_a
 
-        # the two-mode state against the dense amplitude-damping channel on A
+    def test_spectator_loss_after_arm_b_loss(self):
+        # both arms' losses on the block against the split, expanded through
+        # the arm-B Kraus channel and read off as a block
+        ens = random_branches(np.random.default_rng(21), count=4, dim=6)
+        for eta in (0.93, 0.6):
+            for eta_a in (0.0, 0.3, 0.8, 1.0):
+                block = project_through_loss(ens, eta, eta_a).matrix
+                expanded = loss_on_branch(spectator_split(ens, eta_a), eta, tail_tol=1e-30)
+                oracle = branches_to_projected(expanded).matrix
+                assert np.abs(block - oracle).max() < 1e-14, (eta, eta_a)
+
+        # the split itself against the dense amplitude-damping channel on A
+        eta = 0.7
         dim = ens.n_max + 1
         kraus = [
             np.kron(np.diag([1.0, math.sqrt(eta)]), np.eye(dim)),
@@ -581,7 +586,7 @@ class TestLossChannel:
             return b @ b.conj().T
 
         oracle = sum(k @ two_mode(ens) @ k.T for k in kraus)
-        assert np.abs(two_mode(out) - oracle).max() < 1e-14
+        assert np.abs(two_mode(spectator_split(ens, eta)) - oracle).max() < 1e-14
 
 
 class TestParityParts:
@@ -669,6 +674,27 @@ class TestEnsemble:
         assert ens.support(1e-12) == 5
         assert ens.support(1e-6) == 2
         assert ens.support(10.0) == 1  # nothing above the tolerance
+
+    def test_detection_eta_is_a_validated_pair(self):
+        amps = np.zeros((2, 3, 1))
+        assert BranchEnsemble(amps).detection_eta == (1.0, 1.0)
+        assert BranchEnsemble(amps, detection_eta=(0, np.float64(0.5))).detection_eta == (0.0, 0.5)
+        for bad in ((0.5,), (0.5, 0.5, 0.5), (1.2, 0.5), (0.5, -0.1), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                BranchEnsemble(amps, detection_eta=bad)
+
+    def test_crop_and_prune_keep_every_field(self):
+        # both used to rebuild BranchEnsemble(amps), which dropped the Kraus
+        # orders and the neglected mass of a kept state
+        amps = np.zeros((2, 4, 3))
+        amps[1, 0] = [1.0, 1e-8, 0.5]
+        ens = BranchEnsemble(amps, (3, 1), 2e-11, (0.9, 0.5))
+        for out in (ens.truncated(2), prune_branches(ens)[0]):
+            assert out.kraus_orders == (3, 1)
+            assert out.neglected_mass == 2e-11
+            assert out.detection_eta == (0.9, 0.5)
+        assert ens.truncated(2).n_max == 2
+        assert len(prune_branches(ens)[0]) == 2
 
     def test_prune_is_a_mask(self):
         amps = np.zeros((2, 3, 3))

@@ -25,7 +25,7 @@ from micromacro import fock as fk
 from micromacro import pipeline as pl
 from micromacro.pipeline import parse_kv_text
 
-from conftest import branches_to_projected
+from conftest import spectator_split, traced_peak
 
 R_FOR_N100 = 2.6516400776387327  # asinh(sqrt(99.5/2)), mpmath
 
@@ -143,6 +143,16 @@ class TestConfig:
         assert ExperimentConfig(r=0.5, engine="both").resolved_engine() == "both"
 
 
+def _kept_block(cfg: ExperimentConfig, kept) -> np.ndarray:
+    """The block of a kept state through the config's detection losses,
+    after checking that the state carries them and is pruned."""
+    final = kept.final_branches
+    eta_a = cfg.eta2 if cfg.loss_on_a else 1.0
+    assert final.detection_eta == (eta_a, cfg.eta2)
+    assert final.traces.min() >= fk.PRUNE_THRESHOLD
+    return fk.project_through_loss(final, cfg.eta2, eta_a).matrix
+
+
 class TestRun:
     def test_lossless_identity_small_r(self):
         for r in (0.5, 1.5):
@@ -188,11 +198,11 @@ class TestRun:
             cfg = ExperimentConfig(r=r, eta=0.9, eta2=0.95, engine="fock")
             res = run(cfg, keep_state=True)
             assert res.final_branches is not None
-            # the kept ensemble, expanded through the eta2 Kraus channel, must
-            # reproduce the fused block that project_through_loss gives
+            # the kept ensemble through its detection losses must reproduce
+            # the block of the plain run
             fused = run(cfg, keep_state=False)
-            rebuilt = branches_to_projected(res.final_branches)
-            assert np.abs(fused.rho_p.matrix - rebuilt.matrix).max() < 1e-10, r
+            rebuilt = _kept_block(cfg, res)
+            assert np.abs(fused.rho_p.matrix - rebuilt).max() < 1e-10, r
             assert np.abs(fused.rho_p.matrix - res.rho_p.matrix).max() < 1e-10, r
 
     @pytest.mark.parametrize("loss_on_a", [False, True])
@@ -227,25 +237,45 @@ class TestRun:
         )
         res = run(cfg)
         assert res.diagnostics.disagreement < 1e-6
-        # branch-level expansion (keep_state) must match the block-level map
+        # the kept state through its detection losses must match the block
         kept = run(replace(cfg, engine="fock"), keep_state=True)
-        rebuilt = branches_to_projected(kept.final_branches)
-        assert np.abs(rebuilt.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+        rebuilt = _kept_block(cfg, kept)
+        assert np.abs(rebuilt - res.diagnostics.fock_matrix).max() < 1e-10
 
     @pytest.mark.parametrize("loss_on_a", [False, True])
     @pytest.mark.parametrize("eta2", [1.0, 0.95, 0.5])
     @pytest.mark.parametrize("tail_tol", [1e-10, 1e-14])
     def test_kept_state_is_one_pruned_expansion(self, tail_tol, eta2, loss_on_a):
-        # the kept state is the block's spectator-split ensemble through the
-        # eta2 loss, pruned once at every eta2: at tail_tol = 1e-14 the eta
-        # loss itself emits images below the prune threshold (ten of 131 here)
+        # the kept state is the eta loss's ensemble, cropped and pruned once
+        # at every eta2, with the detection losses left to the sampler: at
+        # tail_tol = 1e-14 the eta loss emits images below the prune
+        # threshold (ten of 131 here)
         cfg = ExperimentConfig(r=1.0, eta1=0.9, eta=0.5, eta2=eta2, loss_on_a=loss_on_a,
                                tail_tol=tail_tol, engine="fock")
         plain = run(cfg).rho_p.matrix
         kept = run(cfg, keep_state=True)
-        assert kept.final_branches.traces.min() >= fk.PRUNE_THRESHOLD
-        assert np.abs(branches_to_projected(kept.final_branches).matrix - plain).max() < 1e-10
+        assert np.abs(_kept_block(cfg, kept) - plain).max() < 1e-10
         assert np.abs(kept.rho_p.matrix - plain).max() < 1e-10
+
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    def test_kept_state_at_eta_zero_is_the_pruned_eta_expansion(self, loss_on_a):
+        # the kept state's eta2 and spectator expansions took 7,473 and 9,609
+        # branches here (and were OOM-killed at n = 50); the state is now the
+        # 362 images of the eta loss, cropped at its support and pruned
+        cfg = ExperimentConfig(target_n=10.0, eta=0.0, eta1=0.9, eta2=0.9,
+                               loss_on_a=loss_on_a, engine="fock")
+        kept = run(cfg, keep_state=True)
+        diag = kept.diagnostics
+        r = cfg.pair_r()
+        ens = pl._initial_ensemble(cfg.eta1, r, diag.n_max, 1e-17)
+        expanded = fk.loss_on_branch(ens, cfg.eta, cfg.tail_tol, r, diag.n_max + 1)
+        oracle, _ = fk.prune_branches(expanded.truncated(diag.support_bound))
+        assert len(kept.final_branches) == len(oracle) == 362
+        assert np.array_equal(kept.final_branches.amps, oracle.amps)
+        assert kept.final_branches.kraus_orders == expanded.kraus_orders
+        assert np.abs(_kept_block(cfg, kept) - run(cfg).rho_p.matrix).max() < 1e-10
+        # 122 and 162 MiB with those expansions
+        assert traced_peak(run, cfg, keep_state=True) <= 40
 
     @pytest.mark.parametrize("field", ["eta1", "eta", "eta2"])
     @pytest.mark.parametrize("loss_on_a", [False, True])
@@ -253,9 +283,9 @@ class TestRun:
         cfg = ExperimentConfig(r=1.0, loss_on_a=loss_on_a, engine="both")
         res = run(replace(cfg, **{field: 0.0}))
         assert res.diagnostics.disagreement < 1e-9
-        kept = run(replace(cfg, engine="fock", **{field: 0.0}), keep_state=True)
-        rebuilt = branches_to_projected(kept.final_branches)
-        assert np.abs(rebuilt.matrix - res.diagnostics.fock_matrix).max() < 1e-10
+        fock_cfg = replace(cfg, engine="fock", **{field: 0.0})
+        rebuilt = _kept_block(fock_cfg, run(fock_cfg, keep_state=True))
+        assert np.abs(rebuilt - res.diagnostics.fock_matrix).max() < 1e-10
 
     @pytest.mark.parametrize("loss_on_a", [False, True])
     @pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 5.0])
@@ -331,8 +361,8 @@ def _full_unsqueeze_block(cfg: ExperimentConfig, rows: int) -> np.ndarray:
 def _materialized(cfg: ExperimentConfig, rows: int):
     """Block, Kraus orders and branch count through the whole expanded and
     un-squeezed ensemble: full-height Kraus images, pruning, every row of
-    the inverse squeeze (``_unsqueezed``), the spectator loss and
-    ``project_through_loss``."""
+    the inverse squeeze (``_unsqueezed``), the spectator loss as a branch
+    split and ``project_through_loss`` on arm B alone."""
     r = cfg.resolved_r()
     n_max = fk.choose_n_max(r, cfg.tail_tol)
     ens = pl._initial_ensemble(cfg.eta1, r, n_max, cfg.tail_tol)
@@ -340,7 +370,7 @@ def _materialized(cfg: ExperimentConfig, rows: int):
     pruned, _ = fk.prune_branches(expanded)
     ens = _unsqueezed(pruned, r, rows)
     if cfg.loss_on_a:
-        ens = fk.loss_on_spectator(ens, cfg.eta2)
+        ens = spectator_split(ens, cfg.eta2)
     block = fk.project_through_loss(ens, cfg.eta2).matrix
     return block, expanded.kraus_orders, len(pruned)
 

@@ -12,7 +12,6 @@ the five-sigma level with fixed seeds, and the memory of ``sample`` and
 """
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +35,7 @@ from micromacro import (
 from micromacro import tomography
 from micromacro.entanglement import spin_flip_concurrence
 
-from conftest import random_branches
+from conftest import random_branches, traced_peak
 
 
 def joint_pdf(state, theta_a: float, theta_b: float):
@@ -72,8 +71,8 @@ def _two_mode_vacuum() -> BranchEnsemble:
 
 
 def _pipeline_state() -> BranchEnsemble:
-    """Kept Fock state at r = 1 with loss on both arms, its spectator-split
-    ensemble expanded once through the eta2 loss: 183 branches, support 14."""
+    """Kept Fock state at r = 1 with loss on both arms: the 23 branches of
+    the eta loss at support 14, with detection losses (0.95, 0.95)."""
     cfg = ExperimentConfig(
         r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True, engine="fock", seed=1
     )
@@ -130,7 +129,8 @@ def _ref_invert_cdf_rows(cdf, grid, quantiles):
 def _reference_sample(state, n_samples, phase_policy, seed):
     """The sampler with every density tabulated per draw: a (draws, grid)
     CDF for x_A, a (branches, draws) cumulative sum for the branch choice and
-    a (draws, grid) complex amplitude table for x_B."""
+    a (draws, grid) complex amplitude table for x_B, then the state's
+    detection losses on both arms, from vacuum noise drawn after x_B."""
     support = state.support(1e-12)
     m_dim = support + 1
     u_mat = np.ascontiguousarray(state.amps[1, :m_dim].T)
@@ -192,18 +192,13 @@ def _reference_sample(state, n_samples, phase_policy, seed):
         pdf_b = amp.real**2 + amp.imag**2
         cdf_b = _ref_cumulative_trapezoid(pdf_b, grid_b[1] - grid_b[0])
         x_b = _ref_invert_cdf_rows(cdf_b, grid_b, rng.random(count))
+        eta_a, eta_b = state.detection_eta
+        if (eta_a, eta_b) != (1.0, 1.0):
+            z_a, z_b = rng.normal(0.0, math.sqrt(0.5), (2, count))
+            x_a = math.sqrt(eta_a) * x_a + math.sqrt(1.0 - eta_a) * z_a
+            x_b = math.sqrt(eta_b) * x_b + math.sqrt(1.0 - eta_b) * z_b
         cols.append((th_a, th_b, x_a, x_b))
     return [np.concatenate(c) for c in zip(*cols)]
-
-
-def _traced_peak(fn, *args, **kwargs) -> float:
-    """Peak traced Python-heap memory (MiB) of one call."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestHermiteFunctions:
@@ -347,7 +342,7 @@ class TestSampler:
         # there and 221 MiB at 239
         state = _high_support_state(support)
         assert state.support(1e-12) == support
-        assert _traced_peak(sample, state, n_samples, seed=3) <= bound
+        assert traced_peak(sample, state, n_samples, seed=3) <= bound
 
     def test_invalid_args(self, bell_branch):
         with pytest.raises(ValueError):
@@ -542,6 +537,23 @@ class TestReconstruct:
             assert np.abs(got[nonzero] / ref[nonzero] - 1.0).max() < 1e-10
         assert np.array_equal(recon.estimate, recon.estimate.conj().T)
 
+    @pytest.mark.parametrize("loss_on_a", [False, True])
+    def test_detection_noise_reconstructs_the_block(self, loss_on_a):
+        # the kept state carries the eta2 losses unexpanded; the sampler's
+        # vacuum noise must give the record of the block after them
+        cfg = ExperimentConfig(r=1.0, eta1=0.9, eta=0.9, eta2=0.5, loss_on_a=loss_on_a,
+                               engine="fock")
+        res = run(cfg, keep_state=True)
+        assert res.final_branches.detection_eta == (0.5 if loss_on_a else 1.0, 0.5)
+        recon = reconstruct(sample(res.final_branches, 100_000, seed=31))
+        diff = recon.estimate - res.rho_p.matrix
+        for part, se in ((diff.real, recon.se_real), (diff.imag, recon.se_imag)):
+            exact = se == 0
+            assert np.abs(part[exact]).max(initial=0.0) < 1e-12
+            assert np.all(np.abs(part[~exact]) < 5 * se[~exact])
+        value, err = concurrence_with_uncertainty(recon)
+        assert abs(value - res.concurrence.value) < 5 * err
+
     def test_memory_is_bounded(self):
         rng = np.random.default_rng(11)
         n = 100_000
@@ -551,7 +563,7 @@ class TestReconstruct:
         )
         reconstruct(rec)  # scipy.special loads outside the traced call
         # a per-sample (16, N) stack of kernel products would take 56.5 MiB
-        assert _traced_peak(reconstruct, rec) <= 12
+        assert traced_peak(reconstruct, rec) <= 12
 
     def test_input_state_reconstruction(self, bell_branch):
         rec = sample(bell_branch, 100000, seed=17)
