@@ -4,15 +4,19 @@ Joint quadrature statistics p(x_A, x_B | theta_A, theta_B) are closed form
 on the Wigner function (``wigner.rotated_quadrature_pdf``) and, as the test
 oracle, on the branch mixture (phase-rotated Hermite wavefunctions).
 Sampling reads the arm-A halves u_k = amps[1, :, k] and v_k = amps[0, :, k]
-of the Fock state and draws x_A from its exact marginal, a branch given x_A,
-then x_B from that branch's pure conditional.  Each CDF is a per-draw linear
-combination of cumulative tables built once per call (three basis rows for
-x_A, running branch sums, pair products phi_m phi_n for x_B), inverted by
-a bracketed bisection over the grid index.  Blocks of samples get
-independent child seeds from the master seed, so records are reproducible
-bit-for-bit.  x_B's per-draw pair products are formed in sub-blocks of
-about 2^17 entries, so memory does not grow with support^2 times the block,
-and its cumulative pair table is thinned to at most 2^21 entries.
+of the Fock state and draws x_A from the marginal of arm A's reduced 2x2
+state, then x_B from arm B's mixed conditional state given x_A:
+phi1^2 U + phi0^2 V + 2 phi0 phi1 (cos th_A (Y + Y^dag)/2 + sin th_A
+i(Y^dag - Y)/2) with U = sum_k u_k u_k^dag, V likewise and Y = sum_k
+u_k v_k^dag, four fixed blocks whatever the branch count.  A state's
+quadrature density at phase theta is sum_d Re(e^{-i d theta} T_d(x)) over
+harmonic orders d, so each CDF is a per-draw linear combination of the
+cumulative trapezoids of Re and Im T_d of each block, tabulated once per
+call without the columns that vanish identically, and inverted by a
+bracketed bisection over the grid index.  The table has at most
+8 (support + 1) columns, so a draw costs time linear in the support.
+Blocks of samples get independent child seeds from the master seed, so
+records are reproducible bit-for-bit.
 Detection losses act on the quadratures (Lvovsky & Raymer, RMP 81, 299
 (2009)): each block maps x -> sqrt(eta) x + sqrt(1 - eta) z, z ~ N(0, 1/2).
 
@@ -50,12 +54,6 @@ N_CUT = 3
 N_DRAWS = 2000
 _BLOCK_SIZE = 2048
 _KNOT = 16  # table rows between the brackets that start a CDF search
-# sample holds arm B's pair products for at most _PAIR_ENTRIES draw-pair entries
-# (1 MiB) at once, but for at least _PAIR_DRAWS draws, which amortizes the
-# per-row loop that builds them at large support
-_PAIR_ENTRIES = 1 << 17
-_PAIR_DRAWS = 32
-_TABLE_ENTRIES = 1 << 21  # cap of arm B's cumulative pair table (16 MiB)
 _CHUNK = 1 << 14  # samples per chunk of reconstruct's moment sums
 
 
@@ -161,54 +159,74 @@ class TomographyRecord:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid cumulative along the last axis, zero-anchored."""
-    seg = 0.5 * (values[..., 1:] + values[..., :-1]) * h
-    out = np.zeros(values.shape)
-    np.cumsum(seg, axis=-1, out=out[..., 1:])
-    return out
+def _quadrature_table(blocks: np.ndarray, grid: np.ndarray):
+    """Cumulative trapezoids on ``grid`` of the quadrature densities of the
+    Hermitian (M, M) ``blocks``, split by harmonic order.
+
+    At phase theta, block i has the density sum_d Re(e^{-i d theta} T_id)
+    with T_id = w_d sum_n B_i[n+d, n] phi_{n+d} phi_n, w_0 = 1, w_d = 2 for
+    d >= 1.  Column j of the (G, C) table is the cumulative Re T_id
+    (``cols[1, j]`` = d) or Im T_id (``cols[1, j]`` = M + d) of block
+    ``cols[0, j]``; columns that vanish identically are left out.
+    """
+    n_blocks, m_dim = blocks.shape[:2]
+    parts, cols = [], []
+    for d in range(m_dim):
+        diag = np.diagonal(blocks, -d, axis1=1, axis2=2) * (2.0 if d else 1.0)
+        rows = np.concatenate([diag.real, diag.imag]) if d else diag.real  # Im T_i0 = 0
+        keep = np.flatnonzero(rows.any(axis=1))
+        parts.append(rows[keep])
+        cols.append(np.stack([keep % n_blocks, keep // n_blocks * m_dim + d]))
+    cols = np.concatenate(cols, axis=1)
+    phi = hermite_functions(m_dim - 1, grid).T  # (G, M)
+    half_h = 0.5 * (grid[1] - grid[0])
+    table = np.zeros((len(grid), cols.shape[1]))
+    lo = 0
+    for d, rows in enumerate(parts):
+        if len(rows):
+            dens = (phi[:, d:] * phi[:, : m_dim - d]) @ rows.T
+            np.cumsum(half_h * (dens[1:] + dens[:-1]), axis=0,
+                      out=table[1:, lo:lo + len(rows)])
+            lo += len(rows)
+    return table, cols
 
 
-def _search(coef, table, target, n: int, strict: bool = False) -> np.ndarray:
-    """Per draw s, the last index i < n with coef[s] . table[i] <= target[s]
-    (< if ``strict``; taken to hold at 0) on rows growing with i: brackets on
-    every ``_KNOT``-th row (one product), then bisection of each bracket."""
-    below = np.less if strict else np.less_equal
-    knots = np.count_nonzero(below(coef @ table[:n:_KNOT].T, target[:, None]), axis=1)
+def _harmonics(weights, theta, m_dim: int, cols) -> np.ndarray:
+    """Per draw s, the weights of the table columns ``cols``: weights[s, i]
+    times cos(d theta[s]) on Re T_id and sin(d theta[s]) on Im T_id."""
+    angle = np.outer(theta, np.arange(m_dim))
+    return weights[:, cols[0]] * np.hstack([np.cos(angle), np.sin(angle)])[:, cols[1]]
+
+
+def _search(coef, table, target) -> np.ndarray:
+    """Per draw s, the last index i < n = len(table) - 1 with coef[s] .
+    table[i] <= target[s] (taken to hold at 0) on rows growing with i:
+    brackets on every ``_KNOT``-th row (one product), then bisection of each
+    bracket."""
+    n = len(table) - 1
+    knots = np.count_nonzero(coef @ table[:n:_KNOT].T <= target[:, None], axis=1)
     lo = _KNOT * np.maximum(knots - 1, 0)
     hi = np.minimum(lo + _KNOT, n)
     for _ in range((_KNOT - 1).bit_length()):
         mid = (lo + hi) >> 1
-        ok = below(np.einsum("sp,sp->s", coef, table[mid]), target)
+        ok = np.einsum("sp,sp->s", coef, table[mid]) <= target
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     return lo
 
 
-def _draw(coef, table, stride: int, grid, u, density) -> np.ndarray:
-    """Inverse-transform draws from the trapezoid CDFs coef[s] . table[i].
-
-    ``table`` holds cumulative trapezoids of basis densities at grid points
-    0, stride, 2 stride, ... and the last.  The bin holding quantile u[s] is
-    found by ``_search`` and filled with the exact trapezoid of
-    ``density(points)`` (stride + 1 values per draw); the draw is the linear
-    step inside its grid cell."""
+def _draw(coef, table, grid, u) -> np.ndarray:
+    """Inverse-transform draws from the trapezoid CDFs coef[s] . table[i] on
+    ``grid``: ``_search`` finds the cell c holding quantile u[s], and the draw
+    is the linear step between rows c and c + 1."""
     total = coef @ table[-1]
     if np.any(total <= 0):
         raise ValueError("density rows must carry positive mass")
     target = u * total
-    c = _search(coef, table, target, len(table) - 1)
-    last = len(grid) - 1
-    h = grid[1] - grid[0]
-    pts = np.minimum(stride * c[:, None] + np.arange(stride + 1), last)
-    pdf = density(pts)
-    seg = 0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h
-    cum = np.cumsum(np.column_stack([np.einsum("sp,sp->s", coef, table[c]), seg]), axis=1)
-    # cells past the last grid point (clamped in the final bin) are never chosen
-    k = np.sum((cum[:, 1:-1] <= target[:, None]) & (pts[:, 1:-1] < last), axis=1)
-    c0, c1 = np.take_along_axis(cum, np.stack([k, k + 1], axis=1), axis=1).T
+    c = _search(coef, table, target)
+    c0, c1 = (np.einsum("sp,sp->s", coef, table[c + j]) for j in (0, 1))
     t = np.clip((target - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
-    return grid[np.take_along_axis(pts, k[:, None], axis=1)[:, 0]] + t * h
+    return grid[c] + t * (grid[1] - grid[0])
 
 
 def sample(
@@ -221,9 +239,9 @@ def sample(
     """Draw i.i.d. joint homodyne samples from the branch ensemble.
 
     Phases are uniform on [0, pi) per sample (default) or cycle through a
-    fixed 6x6 grid.  x_A is drawn from its exact marginal, then x_B from the
-    conditional given x_A, resolved over branches; ``state.detection_eta``
-    adds vacuum noise.  Per-block child seeds derived from ``seed`` make the
+    fixed 6x6 grid.  x_A is drawn from its exact marginal, then x_B from arm
+    B's mixed conditional state given x_A; ``state.detection_eta`` adds
+    vacuum noise.  Per-block child seeds derived from ``seed`` make the
     record deterministic.
     """
     for name, value, low in (("n_samples", n_samples, 1), ("seed", seed, 0)):
@@ -235,63 +253,27 @@ def sample(
         raise ValueError("empty branch ensemble")
     support = state.support(1e-12)
     m_dim = support + 1
-    u_mat, v_mat = np.ascontiguousarray(state.amps[::-1, :m_dim].transpose(0, 2, 1))
-    zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)  # <v_k|u_k>
-    # branch k (row k of each (K, M) half) carries ||f1 u_k + f0 v_k||^2, the
-    # features (phi1^2, phi0^2, 2 phi0 phi1 cos th_A, 2 phi0 phi1 sin th_A) of
-    # a draw times (|u_k|^2, |v_k|^2, Re zeta_k, Im zeta_k); row k + 1 of
-    # branch_cum sums those weights over branches 0..k
-    norms = [np.einsum("km,km->k", s.conj(), s).real for s in (u_mat, v_mat)]
-    per_branch = np.stack(norms + [zeta.real, zeta.imag], 1)
-    branch_cum = np.cumsum(np.vstack([np.zeros(4), per_branch]), axis=0)
-    a_tot, b_tot, zeta_re, zeta_im = branch_cum[-1]
-
-    # arm A: the two-level marginal a phi1^2 + b phi0^2 + 2 c phi0 phi1 is a
-    # 3-basis combination with c = Re(e^{-i th_A} zeta)
+    u_mat, v_mat = state.amps[::-1, :m_dim]  # (M, K) halves u_k, v_k
+    # given x_A at th_A, arm B holds phi1^2 U + phi0^2 V + 2 phi0 phi1 (cos th_A
+    # (Y + Y^dag)/2 + sin th_A i(Y^dag - Y)/2), U = sum_k u_k u_k^dag,
+    # V = sum_k v_k v_k^dag and Y = sum_k u_k v_k^dag
+    y_mat = u_mat @ v_mat.conj().T
+    blocks_b = np.stack([
+        u_mat @ u_mat.conj().T, v_mat @ v_mat.conj().T,
+        0.5 * (y_mat + y_mat.conj().T), 0.5j * (y_mat.conj().T - y_mat),
+    ])
+    # arm A's reduced state in the basis (|0>, |1>)
+    tr_y = np.trace(y_mat)
+    rho_a = [[np.trace(blocks_b[1]), np.conj(tr_y)], [tr_y, np.trace(blocks_b[0])]]
     grid_a = np.linspace(-8.0, 8.0, 1601)
-    phi0, phi1 = hermite_functions(1, grid_a)
-    basis_a = np.stack([phi1**2, phi0**2, 2.0 * phi0 * phi1])
-    cum_a = _cumulative_trapezoid(basis_a, grid_a[1] - grid_a[0]).T  # (G, 3)
+    table_a, cols_a = _quadrature_table(np.array([rho_a]), grid_a)
 
     # arm B grid: resolve the fastest oscillation of phi_support
     xb_lim = math.sqrt(2.0 * support + 1.0) + 5.0
     h_target = math.pi / (math.sqrt(2.0 * support + 1.0) * 18.0)
     n_b = int(min(max(2 * xb_lim / h_target, 601), 6001))
     grid_b = np.linspace(-xb_lim, xb_lim, n_b)
-    phi_b_grid = hermite_functions(support, grid_b)  # (M, G)
-    phi_b_rows = np.ascontiguousarray(phi_b_grid.T)  # (G, M)
-
-    # arm B: the cumulative trapezoid of |c.phi|^2 is sum_{m<=n} R_mn T_mn with
-    # R_mn = Re(c_m^* c_n) and T_mn that of phi_m phi_n (doubled off the
-    # diagonal), kept at every stride-th grid point and the last; the stride
-    # is the smallest power of two that keeps the table within _TABLE_ENTRIES
-    n_pairs = m_dim * (m_dim + 1) // 2
-    stride = 1
-    while n_pairs * ((n_b - 2) // stride + 2) > _TABLE_ENTRIES:
-        stride *= 2
-    coarse = np.append(np.arange(0, n_b - 1, stride), n_b - 1)
-    doubled = np.append(1.0, np.full(support, 2.0))[:, None]
-    # pair tables hold pairs (m, n >= m) row-major: (m, m) at column starts[m]
-    starts = np.cumsum(np.append(0, np.arange(m_dim, 1, -1)))
-    cum_b = np.empty((len(coarse), n_pairs))
-    for m, start in enumerate(starts):
-        cum_b[:, start:start + m_dim - m] = _cumulative_trapezoid(
-            phi_b_grid[m] * phi_b_grid[m:] * doubled[: m_dim - m], grid_b[1] - grid_b[0]
-        )[:, coarse].T
-
-    def draw_b(coeff, u):
-        """x_B draws from quantiles u of the pure densities |coeff[s] . phi|^2."""
-        # R_mn = Re(c_m^* c_n), one m at a time on contiguous rows
-        re, im = coeff.real.T.copy(), coeff.imag.T.copy()
-        r_mat = np.empty((len(coeff), n_pairs))
-        for m, start in enumerate(starts):
-            r_mat[:, start:start + m_dim - m] = (re[m] * re[m:] + im[m] * im[m:]).T
-
-        def density(pts):
-            amp = np.einsum("sm,skm->sk", coeff, phi_b_rows[pts])
-            return amp.real**2 + amp.imag**2
-
-        return _draw(r_mat, cum_b, stride, grid_b, u, density)
+    table_b, cols_b = _quadrature_table(blocks_b, grid_b)
 
     eta = np.array(state.detection_eta)[:, None]
     n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
@@ -309,32 +291,17 @@ def sample(
             idx = blk * _BLOCK_SIZE + np.arange(count)
             th_a = grid_phases[(idx // len(grid_phases)) % len(grid_phases)]
             th_b = grid_phases[idx % len(grid_phases)]
-        cos_a, sin_a = np.cos(th_a), np.sin(th_a)
-
-        # x_A from its marginal, then a branch from w_k ||c_k||^2 given x_A
-        coef_a = np.tile([a_tot, b_tot, 0.0], (count, 1))
-        coef_a[:, 2] = cos_a * zeta_re + sin_a * zeta_im
-        x_a = _draw(coef_a, cum_a, 1, grid_a, rng.random(count),
-                    lambda pts: np.einsum("psk,sp->sk", basis_a[:, pts], coef_a))
-
+        x_a = _draw(_harmonics(np.ones((count, 1)), th_a, 2, cols_a), table_a,
+                    grid_a, rng.random(count))
+        # the weights of arm B's four blocks given x_A
         phi_a = hermite_functions(1, x_a)
         cross = 2.0 * phi_a[0] * phi_a[1]
         feats = np.stack(
-            [phi_a[1] ** 2, phi_a[0] ** 2, cross * cos_a, cross * sin_a], axis=1
+            [phi_a[1] ** 2, phi_a[0] ** 2, cross * np.cos(th_a), cross * np.sin(th_a)],
+            axis=1,
         )
-        draws = rng.random(count) * (feats @ branch_cum[-1])
-        k_sel = _search(feats, branch_cum, draws, len(state), strict=True)
-
-        # x_B from the chosen branch's pure conditional |c.phi(x)|^2, drawn
-        # in sub-blocks of step draws
-        coeff = (
-            ((cos_a - 1j * sin_a) * phi_a[1])[:, None] * u_mat[k_sel]
-            + phi_a[0][:, None] * v_mat[k_sel]
-        ) * np.exp(-1j * th_b)[:, None] ** np.arange(m_dim)  # (S, M)
-        u_b, step = rng.random(count), max(_PAIR_DRAWS, _PAIR_ENTRIES // n_pairs)
-        x_b = np.concatenate([
-            draw_b(coeff[lo:lo + step], u_b[lo:lo + step]) for lo in range(0, count, step)
-        ])
+        x_b = _draw(_harmonics(feats, th_b, m_dim, cols_b), table_b, grid_b,
+                    rng.random(count))
         if np.any(eta < 1.0):
             vacuum = rng.normal(0.0, math.sqrt(0.5), (2, count))
             x_a, x_b = np.sqrt(eta) * (x_a, x_b) + np.sqrt(1.0 - eta) * vacuum

@@ -11,6 +11,7 @@ the five-sigma level with fixed seeds, and the memory of ``sample`` and
 ``reconstruct`` against traced-allocation bounds.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -87,9 +88,9 @@ def _complex_state() -> BranchEnsemble:
 
 
 def _high_support_state(support: int = 95) -> BranchEnsemble:
-    """One branch reaching photon number ``support``; from support 49 on, the
-    sampler keeps its pair table at every stride-th grid point only (stride 8
-    at support 95, 128 at 239)."""
+    """One real branch reaching photon number ``support``, with no parity
+    structure, so arm B's quadrature table keeps about 4 (support + 1)
+    columns."""
     rng = np.random.default_rng(4)
     rows = support + 1
     amps = rng.normal(size=(2, rows, 1)) * np.exp(-np.arange(rows) / 60.0)[:, None]
@@ -128,19 +129,16 @@ def _ref_invert_cdf_rows(cdf, grid, quantiles):
 
 def _reference_sample(state, n_samples, phase_policy, seed):
     """The sampler with every density tabulated per draw: a (draws, grid)
-    CDF for x_A, a (branches, draws) cumulative sum for the branch choice and
-    a (draws, grid) complex amplitude table for x_B, then the state's
+    CDF for x_A, then for x_B the (draws, grid) sum over branches of the
+    squared conditional amplitudes |c_k . phi|^2 given x_A, then the state's
     detection losses on both arms, from vacuum noise drawn after x_B."""
     support = state.support(1e-12)
     m_dim = support + 1
     u_mat = np.ascontiguousarray(state.amps[1, :m_dim].T)
     v_mat = np.ascontiguousarray(state.amps[0, :m_dim].T)
-    nu = np.einsum("km,km->k", u_mat.conj(), u_mat).real
-    nv = np.einsum("km,km->k", v_mat.conj(), v_mat).real
-    zeta = np.einsum("km,km->k", v_mat.conj(), u_mat)
-    a_tot = float(np.sum(nu))
-    b_tot = float(np.sum(nv))
-    zeta_tot = complex(np.sum(zeta))
+    a_tot = float(np.sum(np.abs(u_mat) ** 2))
+    b_tot = float(np.sum(np.abs(v_mat) ** 2))
+    zeta_tot = complex(np.sum(v_mat.conj() * u_mat))  # sum_k <v_k|u_k>
 
     grid_a = np.linspace(-8.0, 8.0, 1601)
     phi_a_grid = hermite_functions(1, grid_a)
@@ -176,20 +174,11 @@ def _reference_sample(state, n_samples, phase_policy, seed):
         phi_a = hermite_functions(1, x_a)
         f1 = np.exp(-1j * th_a) * phi_a[1]
         f0 = phi_a[0]
-        qk = (
-            np.abs(f1[None, :]) ** 2 * nu[:, None]
-            + f0[None, :] ** 2 * nv[:, None]
-            + 2.0 * (f0 * phi_a[1])[None, :]
-            * np.real(np.exp(-1j * th_a)[None, :] * zeta[:, None])
-        )
-        cum_k = np.cumsum(np.clip(qk, 0.0, None), axis=0)
-        draws = rng.random(count) * cum_k[-1]
-        k_sel = np.argmax(cum_k >= draws[None, :], axis=0)
-
-        coeff = f1[:, None] * u_mat[k_sel] + f0[:, None] * v_mat[k_sel]
-        coeff = coeff * np.exp(-1j * np.outer(th_b, np.arange(m_dim)))
-        amp = coeff @ phi_b_grid
-        pdf_b = amp.real**2 + amp.imag**2
+        rot_b = np.exp(-1j * np.outer(th_b, np.arange(m_dim)))
+        pdf_b = np.zeros((count, len(grid_b)))
+        for u_k, v_k in zip(u_mat, v_mat):
+            amp = ((f1[:, None] * u_k + f0[:, None] * v_k) * rot_b) @ phi_b_grid
+            pdf_b += amp.real**2 + amp.imag**2
         cdf_b = _ref_cumulative_trapezoid(pdf_b, grid_b[1] - grid_b[0])
         x_b = _ref_invert_cdf_rows(cdf_b, grid_b, rng.random(count))
         eta_a, eta_b = state.detection_eta
@@ -295,7 +284,7 @@ class TestSampler:
         assert np.abs(rec.x_a - x_a).max() < 1e-7
         assert np.abs(rec.x_b - x_b).max() < 1e-7
 
-    def test_coarse_pair_table_matches_tabulated_reference(self):
+    def test_high_support_matches_tabulated_reference(self):
         state = _high_support_state()
         assert state.support(1e-12) == 95
         rec = sample(state, 400, seed=3)
@@ -305,32 +294,20 @@ class TestSampler:
         assert np.abs(rec.x_a - x_a).max() < 1e-7
         assert np.abs(rec.x_b - x_b).max() < 1e-7
 
-    def test_pair_sub_blocks_match_one_block(self, monkeypatch):
-        state = _pipeline_state()
-        n_pairs = 15 * 16 // 2  # support 14
-        n_samples = 2 * 2048 + 300
-        monkeypatch.setattr(tomography, "_PAIR_ENTRIES", 1 << 30)
-        whole = sample(state, n_samples, seed=7)
-
-        sizes = []
-        draw = tomography._draw
-
-        def counting_draw(coef, *args):
-            if coef.shape[1] == n_pairs:
-                sizes.append(len(coef))
-            return draw(coef, *args)
-
-        monkeypatch.setattr(tomography, "_draw", counting_draw)
-        monkeypatch.setattr(tomography, "_PAIR_ENTRIES", 700 * n_pairs)
-        split = sample(state, n_samples, seed=7)
-        assert sizes == [700, 700, 648, 700, 700, 648, 300]
-        for field in ("theta_a", "theta_b", "x_a", "x_b"):
-            assert np.array_equal(getattr(split, field), getattr(whole, field))
-        th_a, th_b, x_a, x_b = _reference_sample(state, n_samples, "uniform_random", 7)
-        assert np.array_equal(split.theta_a, th_a)
-        assert np.array_equal(split.theta_b, th_b)
-        assert np.abs(split.x_a - x_a).max() < 1e-7
-        assert np.abs(split.x_b - x_b).max() < 1e-7
+    @pytest.mark.parametrize("state_name", ["pipeline", "complex"])
+    def test_record_depends_on_rho_not_on_its_branches(self, state_name):
+        # rho = A A^dag is unchanged by A -> A O for a real orthogonal O, so
+        # the record must not see how rho is split into branches
+        state = {"pipeline": _pipeline_state, "complex": _complex_state}[state_name]()
+        count = len(state)
+        ortho = np.linalg.qr(np.random.default_rng(11).normal(size=(count, count)))[0]
+        mixed = dataclasses.replace(state, amps=state.amps @ ortho)
+        a = sample(state, 2 * 2048 + 300, seed=5)
+        b = sample(mixed, 2 * 2048 + 300, seed=5)
+        assert np.array_equal(a.theta_a, b.theta_a)
+        assert np.array_equal(a.theta_b, b.theta_b)
+        assert np.abs(a.x_a - b.x_a).max() < 1e-9
+        assert np.abs(a.x_b - b.x_b).max() < 1e-9
 
     @pytest.mark.parametrize(
         "support, n_samples, bound", [(95, 2 * 2048 + 300, 40), (239, 64, 96)],
@@ -339,7 +316,8 @@ class TestSampler:
     def test_high_support_memory_is_bounded(self, support, n_samples, bound):
         # whole-block pair products (three live copies) took 282 MiB at support
         # 95; a pair table capped by one block's tabulated amplitudes took 67 MiB
-        # there and 221 MiB at 239
+        # there and 221 MiB at 239; arm B's quadrature table of about
+        # 4 (support + 1) columns on the full grid takes 29 and 71 MiB
         state = _high_support_state(support)
         assert state.support(1e-12) == support
         assert traced_peak(sample, state, n_samples, seed=3) <= bound
