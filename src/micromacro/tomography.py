@@ -10,13 +10,14 @@ phi1^2 U + phi0^2 V + 2 phi0 phi1 (cos th_A (Y + Y^dag)/2 + sin th_A
 i(Y^dag - Y)/2) with U = sum_k u_k u_k^dag, V likewise and Y = sum_k
 u_k v_k^dag, four fixed blocks whatever the branch count.  A state's
 quadrature density at phase theta is sum_d Re(e^{-i d theta} T_d(x)) over
-harmonic orders d, so each CDF is a per-draw linear combination of the
-cumulative trapezoids of Re and Im T_d of each block, tabulated once per
-call without the columns that vanish identically, and inverted by a
-bracketed bisection over the grid index.  The table has at most
-8 (support + 1) columns, so a draw costs time linear in the support.
-Blocks of samples get independent child seeds from the master seed, so
-records are reproducible bit-for-bit.
+harmonic orders d, so each CDF is a linear combination, weighted by powers
+of e^{i theta}, of the cumulative trapezoids of Re and Im T_d of each block,
+tabulated once per call without the columns that vanish identically (at most
+8 (support + 1), so a draw costs time linear in the support).  A diagonal
+arm-A state (tr Y = 0, as photon parity makes it) gives every draw one CDF,
+inverted by one search; per-draw CDFs are inverted by a bracketed bisection
+over the grid index.  Blocks of samples get independent child seeds from the
+master seed, so records are reproducible bit-for-bit.
 Detection losses act on the quadratures (Lvovsky & Raymer, RMP 81, 299
 (2009)): each block maps x -> sqrt(eta) x + sqrt(1 - eta) z, z ~ N(0, 1/2).
 
@@ -193,38 +194,42 @@ def _quadrature_table(blocks: np.ndarray, grid: np.ndarray):
 
 def _harmonics(weights, theta, m_dim: int, cols) -> np.ndarray:
     """Per draw s, the weights of the table columns ``cols``: weights[s, i]
-    times cos(d theta[s]) on Re T_id and sin(d theta[s]) on Im T_id."""
-    angle = np.outer(theta, np.arange(m_dim))
-    return weights[:, cols[0]] * np.hstack([np.cos(angle), np.sin(angle)])[:, cols[1]]
-
-
-def _search(coef, table, target) -> np.ndarray:
-    """Per draw s, the last index i < n = len(table) - 1 with coef[s] .
-    table[i] <= target[s] (taken to hold at 0) on rows growing with i:
-    brackets on every ``_KNOT``-th row (one product), then bisection of each
-    bracket."""
-    n = len(table) - 1
-    knots = np.count_nonzero(coef @ table[:n:_KNOT].T <= target[:, None], axis=1)
-    lo = _KNOT * np.maximum(knots - 1, 0)
-    hi = np.minimum(lo + _KNOT, n)
-    for _ in range((_KNOT - 1).bit_length()):
-        mid = (lo + hi) >> 1
-        ok = np.einsum("sp,sp->s", coef, table[mid]) <= target
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return lo
+    times cos(d theta[s]) on Re T_id and sin(d theta[s]) on Im T_id, as a
+    C-contiguous (draws, columns) array, from the rows of the (M, draws)
+    powers of e^{i theta}, built by repeated products."""
+    powers = np.ones((m_dim, len(theta)), dtype=complex)
+    powers[1:2] = np.exp(1j * theta)
+    for d in range(2, m_dim):
+        np.multiply(powers[d - 1], powers[1], out=powers[d])
+    trig = np.concatenate([powers.real, powers.imag])
+    return np.ascontiguousarray((weights.T[cols[0]] * trig[cols[1]]).T)
 
 
 def _draw(coef, table, grid, u) -> np.ndarray:
-    """Inverse-transform draws from the trapezoid CDFs coef[s] . table[i] on
-    ``grid``: ``_search`` finds the cell c holding quantile u[s], and the draw
-    is the linear step between rows c and c + 1."""
+    """Inverse-transform draws from trapezoid CDFs on ``grid``, coef[s] .
+    table[i] per draw s, or table @ coef for every draw if ``coef`` is 1-D.
+    The draw is the linear step between rows c and c + 1, c the last row
+    i < n at or below the target (taken to hold at 0): one ``searchsorted``
+    on a shared CDF, else ``_KNOT``-row brackets (one product), bisected."""
+    n = len(table) - 1
     total = coef @ table[-1]
     if np.any(total <= 0):
         raise ValueError("density rows must carry positive mass")
     target = u * total
-    c = _search(coef, table, target)
-    c0, c1 = (np.einsum("sp,sp->s", coef, table[c + j]) for j in (0, 1))
+    if coef.ndim == 1:
+        cdf = table @ coef
+        c = np.maximum(np.searchsorted(cdf[:n], target, side="right") - 1, 0)
+        c0, c1 = cdf[c], cdf[c + 1]
+    else:
+        knots = np.count_nonzero(coef @ table[:n:_KNOT].T <= target[:, None], axis=1)
+        c = _KNOT * np.maximum(knots - 1, 0)
+        hi = np.minimum(c + _KNOT, n)
+        for _ in range((_KNOT - 1).bit_length()):
+            mid = (c + hi) >> 1
+            ok = np.einsum("sp,sp->s", coef, table[mid]) <= target
+            c = np.where(ok, mid, c)
+            hi = np.where(ok, hi, mid)
+        c0, c1 = (np.einsum("sp,sp->s", coef, table[c + j]) for j in (0, 1))
     t = np.clip((target - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
     return grid[c] + t * (grid[1] - grid[0])
 
@@ -254,14 +259,10 @@ def sample(
     support = state.support(1e-12)
     m_dim = support + 1
     u_mat, v_mat = state.amps[::-1, :m_dim]  # (M, K) halves u_k, v_k
-    # given x_A at th_A, arm B holds phi1^2 U + phi0^2 V + 2 phi0 phi1 (cos th_A
-    # (Y + Y^dag)/2 + sin th_A i(Y^dag - Y)/2), U = sum_k u_k u_k^dag,
-    # V = sum_k v_k v_k^dag and Y = sum_k u_k v_k^dag
+    # arm B's blocks U, V, (Y + Y^dag)/2 and i(Y^dag - Y)/2 (module docstring)
     y_mat = u_mat @ v_mat.conj().T
-    blocks_b = np.stack([
-        u_mat @ u_mat.conj().T, v_mat @ v_mat.conj().T,
-        0.5 * (y_mat + y_mat.conj().T), 0.5j * (y_mat.conj().T - y_mat),
-    ])
+    blocks_b = np.stack([u_mat @ u_mat.conj().T, v_mat @ v_mat.conj().T,
+                         0.5 * (y_mat + y_mat.conj().T), 0.5j * (y_mat.conj().T - y_mat)])
     # arm A's reduced state in the basis (|0>, |1>)
     tr_y = np.trace(y_mat)
     rho_a = [[np.trace(blocks_b[1]), np.conj(tr_y)], [tr_y, np.trace(blocks_b[0])]]
@@ -291,21 +292,19 @@ def sample(
             idx = blk * _BLOCK_SIZE + np.arange(count)
             th_a = grid_phases[(idx // len(grid_phases)) % len(grid_phases)]
             th_b = grid_phases[idx % len(grid_phases)]
-        x_a = _draw(_harmonics(np.ones((count, 1)), th_a, 2, cols_a), table_a,
-                    grid_a, rng.random(count))
+        coef_a = (_harmonics(np.ones((count, 1)), th_a, 2, cols_a) if cols_a[1].any()
+                  else np.ones(cols_a.shape[1]))  # rho_A diagonal: one CDF
+        x_a = _draw(coef_a, table_a, grid_a, rng.random(count))
         # the weights of arm B's four blocks given x_A
         phi_a = hermite_functions(1, x_a)
         cross = 2.0 * phi_a[0] * phi_a[1]
-        feats = np.stack(
-            [phi_a[1] ** 2, phi_a[0] ** 2, cross * np.cos(th_a), cross * np.sin(th_a)],
-            axis=1,
-        )
+        feats = np.stack([phi_a[1] ** 2, phi_a[0] ** 2,
+                          cross * np.cos(th_a), cross * np.sin(th_a)]).T
         x_b = _draw(_harmonics(feats, th_b, m_dim, cols_b), table_b, grid_b,
                     rng.random(count))
         if np.any(eta < 1.0):
             vacuum = rng.normal(0.0, math.sqrt(0.5), (2, count))
             x_a, x_b = np.sqrt(eta) * (x_a, x_b) + np.sqrt(1.0 - eta) * vacuum
-
         blocks.append((th_a, th_b, x_a, x_b))
 
     return TomographyRecord(

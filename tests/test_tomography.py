@@ -97,6 +97,17 @@ def _high_support_state(support: int = 95) -> BranchEnsemble:
     return BranchEnsemble((amps / np.linalg.norm(amps))[::-1])
 
 
+def _arm_a_table(state):
+    """Arm A's quadrature table on the sampler's grid: its reduced 2x2 state
+    in the basis (|0>, |1>), tr Y = sum_k <v_k|u_k> off the diagonal."""
+    v_mat, u_mat = state.amps
+    tr_y = np.sum(u_mat * v_mat.conj())
+    rho_a = np.array([[np.sum(np.abs(v_mat) ** 2), np.conj(tr_y)],
+                      [tr_y, np.sum(np.abs(u_mat) ** 2)]])
+    grid = np.linspace(-8.0, 8.0, 1601)
+    return (*tomography._quadrature_table(rho_a[None], grid), grid)
+
+
 # ---------------------------------------------------------------------------
 # reference sampler: the per-row tabulated inverse CDF on the sampler's grids
 # ---------------------------------------------------------------------------
@@ -308,6 +319,37 @@ class TestSampler:
         assert np.array_equal(a.theta_b, b.theta_b)
         assert np.abs(a.x_a - b.x_a).max() < 1e-9
         assert np.abs(a.x_b - b.x_b).max() < 1e-9
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 15, 96, 240, 300])
+    def test_harmonics_match_cos_and_sin(self, m_dim):
+        # e^{i d theta} comes from repeated products of e^{i theta}; their
+        # rounding must stay far below the draws' tolerances up to the
+        # supports that the memory test reaches
+        rng = np.random.default_rng(m_dim)
+        count, n_blocks = 700, 3
+        weights = rng.uniform(-1.0, 1.0, (count, n_blocks))
+        theta = rng.uniform(0.0, np.pi, count)
+        cols = np.stack(np.meshgrid(np.arange(n_blocks), np.arange(2 * m_dim))).reshape(2, -1)
+        coef = tomography._harmonics(weights, theta, m_dim, cols)
+        assert coef.shape == (count, cols.shape[1]) and coef.flags.c_contiguous
+        d = cols[1] % m_dim
+        trig = np.where(cols[1] < m_dim, np.cos(np.outer(theta, d)), np.sin(np.outer(theta, d)))
+        assert np.abs(coef - weights[:, cols[0]] * trig).max() < 1e-12
+
+    def test_shared_cdf_draws_equal_per_draw_search(self):
+        # photon parity makes the pipeline's arm-A state diagonal: its table
+        # is the one column Re T_0, and every draw shares one CDF
+        table, cols, grid = _arm_a_table(_pipeline_state())
+        assert cols.tolist() == [[0], [0]]
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(6).random(5000)])
+        shared = tomography._draw(np.ones(1), table, grid, u)
+        per_draw = tomography._draw(np.ones((len(u), 1)), table, grid, u)
+        assert np.array_equal(shared, per_draw)
+        # a coherent arm-A state keeps the per-draw route, which
+        # test_matches_tabulated_reference[complex-*] checks
+        cols = _arm_a_table(_complex_state())[1]
+        assert {1, 3} <= set(cols[1].tolist())  # Re T_1 and Im T_1, M = 2
 
     @pytest.mark.parametrize(
         "support, n_samples, bound", [(95, 2 * 2048 + 300, 40), (239, 64, 96)],
@@ -531,6 +573,24 @@ class TestReconstruct:
             assert np.all(np.abs(part[~exact]) < 5 * se[~exact])
         value, err = concurrence_with_uncertainty(recon)
         assert abs(value - res.concurrence.value) < 5 * err
+
+    def test_workload_closure_holds_on_fixed_seeds(self):
+        # the benchmark's tomography closure rule (5 standard errors per
+        # element, zero-SE elements to 1e-12, concurrence within 5 error
+        # bars) on its state, so a sampler whose distribution moved fails
+        # here before a benchmark run does
+        cfg = ExperimentConfig(r=1.0, eta1=0.95, eta=0.95, eta2=0.95, loss_on_a=True,
+                               engine="fock")
+        res = run(cfg, keep_state=True)
+        for seed in range(8):
+            recon = reconstruct(sample(res.final_branches, 100_000, seed=seed))
+            diff = recon.estimate - res.rho_p.matrix
+            for part, se in ((diff.real, recon.se_real), (diff.imag, recon.se_imag)):
+                exact = se == 0
+                assert np.abs(part[exact]).max(initial=0.0) <= 1e-12, seed
+                assert np.all(np.abs(part[~exact]) <= 5 * se[~exact]), seed
+            value, err = concurrence_with_uncertainty(recon, seed=seed)
+            assert math.isfinite(err) and abs(value - res.concurrence.value) <= 5 * err, seed
 
     def test_memory_is_bounded(self):
         rng = np.random.default_rng(11)
